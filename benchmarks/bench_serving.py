@@ -233,9 +233,8 @@ def _bench_point(
     # whole cross-process telemetry path) must stay report-identical to
     # a serial run under the same instrumentation, and its cost lands
     # in the report as its own column.  Serial and sharded interleave
-    # with fresh sinks per rep, keeping both systems' run counts in
-    # lockstep (channel byte totals accumulate per system, so reports
-    # only compare equal between systems with identical run histories).
+    # with fresh sinks per rep, so a slow stretch of the host bills
+    # both sides alike.
     top_shards = max(SHARD_COUNTS)
     serial_tel_total: List[float] = []
     shard_tel_total: List[float] = []

@@ -57,7 +57,6 @@ included.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -318,10 +317,6 @@ class CompiledPartitioner:
         return out
 
 
-#: Compiled estimators keyed by function (weakly) -> (table, estimator).
-_ESTIMATOR_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
 class CompiledEstimator:
     """Uniform-spread reconstruction compiled to CSR-style arrays.
 
@@ -381,13 +376,13 @@ class CompiledEstimator:
         cls, table: GroupTable, function: PartitioningFunction
     ) -> "CompiledEstimator":
         """The compiled estimator for ``(table, function)``, reusing a
-        cached instance across windows of the same install."""
-        entry = _ESTIMATOR_CACHE.get(function)
-        if entry is not None and entry[0] is table:
-            return entry[1]
-        estimator = cls(table, function)
-        _ESTIMATOR_CACHE[function] = (table, estimator)
-        return estimator
+        cached instance across windows of the same install (cached on
+        the function object, so it is freed with the function)."""
+        cached = getattr(function, "_compiled_estimator", None)
+        if cached is None or cached.table is not table:
+            cached = cls(table, function)
+            function._compiled_estimator = cached
+        return cached
 
     def slot_counts(self, histogram: Histogram) -> np.ndarray:
         """Per-slot bucket counts of a histogram (zeros for absent

@@ -97,6 +97,12 @@ EVENT_TYPES = (
 )
 
 
+#: One encoder for every journal line: ``_ENCODER.encode(record)`` is
+#: byte-for-byte ``json.dumps(record, sort_keys=True)``, without
+#: building a fresh encoder per event.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class EventJournal:
     """Append-only JSON-lines event sink with monotonic sequence ids."""
 
@@ -130,7 +136,7 @@ class EventJournal:
                 "event": event,
             }
             record.update(fields)
-            self._file.write(json.dumps(record, sort_keys=True) + "\n")
+            self._file.write(_ENCODER.encode(record) + "\n")
             self._file.flush()
         return seq
 

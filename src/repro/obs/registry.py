@@ -33,7 +33,9 @@ Instrument kinds follow the conventional semantics:
 
 Families are keyed by ``(kind, name)``; children by their sorted label
 items, so ``reg.counter("x", a="1", b="2")`` and
-``reg.counter("x", b="2", a="1")`` are the same child.
+``reg.counter("x", b="2", a="1")`` are the same child.  A flat dict
+keyed by the labels *as passed* answers repeat lookups before any
+sorting or locking, so instrumented code need not cache handles.
 """
 
 from __future__ import annotations
@@ -74,13 +76,16 @@ def _label_items(labels: Dict[str, object]) -> LabelItems:
 class Counter:
     """A monotonically nondecreasing count."""
 
-    __slots__ = ("name", "labels", "value", "_lock")
+    __slots__ = ("name", "labels", "value", "_lock", "emitted")
 
     def __init__(self, name: str, labels: LabelItems, lock: threading.Lock):
         self.name = name
         self.labels = labels
         self.value = 0.0
         self._lock = lock
+        #: The value the last per-window record was taken against
+        #: (see :func:`repro.obs.snapshots.emit_window_record`).
+        self.emitted = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -120,6 +125,7 @@ class HistogramInstrument:
     __slots__ = (
         "name", "labels", "count", "sum", "min", "max",
         "bounds", "bucket_counts", "_lock",
+        "emitted_count", "emitted_sum", "emitted_buckets",
     )
 
     def __init__(
@@ -138,6 +144,12 @@ class HistogramInstrument:
         self.bounds = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # trailing +inf
         self._lock = lock
+        #: The count / sum / bucket counts the last per-window record
+        #: was taken against (see
+        #: :func:`repro.obs.snapshots.emit_window_record`).
+        self.emitted_count = 0
+        self.emitted_sum = 0.0
+        self.emitted_buckets = [0] * len(self.bucket_counts)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -210,6 +222,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, str], Dict[LabelItems, object]] = {}
+        #: ``(kind, name, label items as passed)`` -> child: the lookup
+        #: fast path, checked before the label sort and the lock.
+        self._lookups: Dict[Tuple[str, str, tuple], object] = {}
         self._spans: List[SpanRecord] = []
         #: Origin of the registry's span timeline (monotonic clock).
         self.epoch = time.perf_counter()
@@ -217,15 +232,25 @@ class MetricsRegistry:
         #: :func:`repro.obs.snapshots.emit_window_record` (one per
         #: decoded window of a monitoring run).
         self.window_series: List[Dict[str, object]] = []
-        #: The snapshot the next window delta is taken against.
-        self._last_snapshot: Optional[object] = None
+        #: Children created so far; the per-window record rebuilds its
+        #: child list when this moves.
+        self._generation = 0
+        #: Every child in snapshot order with its series key, as of
+        #: ``_generation`` (built by ``emit_window_record``).
+        self._window_rows: Optional[object] = None
 
     # -- instrument lookup -------------------------------------------------
     def _instrument(self, kind: str, name: str, labels: Dict[str, object]):
-        key = (kind, name)
+        passed = (kind, name, tuple(labels.items()))
+        try:
+            child = self._lookups.get(passed)
+        except TypeError:  # an unhashable label value
+            child = None
+        if child is not None:
+            return child
         items = _label_items(labels)
         with self._lock:
-            family = self._metrics.setdefault(key, {})
+            family = self._metrics.setdefault((kind, name), {})
             child = family.get(items)
             if child is None:
                 # Each child gets its own lock: hot instruments updated
@@ -233,6 +258,12 @@ class MetricsRegistry:
                 # families (or on family creation).
                 child = self._KINDS[kind](name, items, threading.Lock())
                 family[items] = child
+                self._generation += 1
+            # Only all-string label sets take the fast path: 1, 1.0 and
+            # True hash and compare equal but label as "1", "1.0" and
+            # "True".
+            if all(type(v) is str for v in labels.values()):
+                self._lookups[passed] = child
             return child
 
     def counter(self, name: str, **labels) -> Counter:

@@ -11,15 +11,17 @@ window".  This module bridges the two:
   record: **counters as deltas**, **gauges as levels**, **histograms
   and timers as per-window count/sum/mean plus approximate p50/p90/p99
   quantiles** interpolated from the bucket-count deltas.
-* :func:`emit_window_record` does both against the registry's last
-  snapshot and appends the record to ``registry.window_series`` — the
-  monitoring loop calls it once per decoded window, so a run leaves a
-  full per-window telemetry trail behind (served live at
-  ``/series.json`` by :mod:`repro.obs.server` and rendered by
-  ``repro top``).
+* :func:`emit_window_record` appends the same record, taken against
+  the previous window, to ``registry.window_series`` — the monitoring
+  loop calls it once per decoded window, so a run leaves a full
+  per-window telemetry trail behind (served live at ``/series.json``
+  by :mod:`repro.obs.server` and rendered by ``repro top``).  It takes
+  no snapshot: each instrument child keeps the values the last record
+  saw, so an unchanged instrument costs a comparison, not a copy.
 
-Everything here is read-only with respect to the instruments and costs
-nothing when the registry is the no-op ``NullRegistry``
+Nothing here changes an instrument's values (the per-window record
+only notes on each child what it last emitted).  Everything is free
+when the registry is the no-op ``NullRegistry``
 (:func:`emit_window_record` returns immediately).
 
 Snapshot-delta record shape (JSON-friendly)::
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .registry import (
     Counter,
@@ -228,18 +230,179 @@ def snapshot_delta(
     return record
 
 
+class _WindowRows:
+    """A registry's children in snapshot order, series keys computed
+    once — what :func:`emit_window_record` walks every window."""
+
+    __slots__ = ("generation", "counters", "gauges", "distributions")
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        previous: Optional["_WindowRows"] = None,
+    ) -> None:
+        #: The registry's child-creation count these rows reflect.
+        self.generation = registry._generation
+        # Mirror take_snapshot: sorted walk, keyed dicts (a later child
+        # with the same series key wins), timers split out by type.
+        counters: Dict[str, Counter] = {}
+        gauges: Dict[str, Gauge] = {}
+        histograms: Dict[str, HistogramInstrument] = {}
+        timer_keys = set()
+        children = sorted(
+            (
+                (kind, name, items, child)
+                for (kind, name), family in registry._metrics.items()
+                for items, child in family.items()
+            ),
+            key=lambda row: row[:3],
+        )
+        for _kind, name, items, child in children:
+            key = instrument_key(name, items)
+            if isinstance(child, HistogramInstrument):
+                histograms[key] = child
+                if isinstance(child, Timer):
+                    timer_keys.add(key)
+            elif isinstance(child, Counter):
+                counters[key] = child
+            elif isinstance(child, Gauge):
+                gauges[key] = child
+        if previous is not None:
+            # A new child that takes a series key over from an older
+            # one (a timer named like an existing histogram) continues
+            # from what the old child last emitted, as the snapshot it
+            # replaces in take_snapshot would.
+            for key, old in previous.counters:
+                new = counters[key]
+                if new is not old:
+                    new.emitted = old.emitted
+            for key, old, _section, _edges in previous.distributions:
+                new = histograms[key]
+                if new is not old:
+                    new.emitted_count = old.emitted_count
+                    new.emitted_sum = old.emitted_sum
+                    new.emitted_buckets = old.emitted_buckets
+        self.counters = list(counters.items())
+        self.gauges = list(gauges.items())
+        #: ``(key, child, section, bucket upper edges)``; the overflow
+        #: bucket's edge is clamped to the last finite bound, as in
+        #: :func:`bucket_quantile`.
+        self.distributions = [
+            (
+                key,
+                child,
+                "timers" if key in timer_keys else "histograms",
+                tuple(child.bounds) + tuple(child.bounds)[-1:],
+            )
+            for key, child in histograms.items()
+        ]
+
+
+def _window_quantiles(
+    edges: Tuple[float, ...],
+    dbuckets: List[int],
+    entry: Dict[str, object],
+) -> None:
+    """Set every :data:`WINDOW_QUANTILES` label of ``entry`` in one
+    cumulative pass over ``dbuckets`` — the same arithmetic, and so the
+    same values, as one :func:`bucket_quantile` call per quantile (the
+    target ranks only grow, so each quantile's bucket is at or after
+    the previous one's)."""
+    total = sum(dbuckets)
+    if total <= 0:
+        for label, _q in WINDOW_QUANTILES:
+            entry[label] = 0.0
+        return
+    finite = len(edges) - 1
+    pending = iter(WINDOW_QUANTILES)
+    label, q = next(pending)
+    rank = q * total
+    cum = 0.0
+    lo = 0.0
+    for i, (n, hi) in enumerate(zip(dbuckets, edges)):
+        if n > 0:
+            while cum + n >= rank:
+                if i >= finite:
+                    entry[label] = float(hi)
+                else:
+                    fraction = (rank - cum) / n
+                    entry[label] = float(
+                        lo + (hi - lo) * max(0.0, min(1.0, fraction))
+                    )
+                label, q = next(pending, (None, None))
+                if label is None:
+                    return
+                rank = q * total
+        cum += n
+        lo = hi
+    while label is not None:
+        entry[label] = float(edges[-1])
+        label, _q = next(pending, (None, None))
+
+
 def emit_window_record(
     registry: MetricsRegistry, window: int
 ) -> Optional[Dict[str, object]]:
-    """Snapshot the registry, append the delta record for ``window`` to
-    ``registry.window_series``, and return it (``None`` when the
-    registry is disabled — strictly free on the no-op path)."""
+    """Append the delta record for ``window`` to
+    ``registry.window_series`` and return it (``None`` when the
+    registry is disabled — strictly free on the no-op path).
+
+    The record equals ``snapshot_delta(prev, take_snapshot(registry))``
+    against the previous window's snapshot, but nothing is snapshotted:
+    every child keeps the values the last record was taken against, so
+    an unchanged instrument costs one comparison, and only distributions
+    that moved compute bucket deltas and quantiles.  The child list is
+    sorted and keyed once, and again only after a new child appears.
+    """
     if not registry.enabled:
         return None
-    cur = take_snapshot(registry)
+    ts = time.perf_counter() - registry.epoch
+    timers: Dict[str, Dict[str, object]] = {}
+    histograms: Dict[str, Dict[str, object]] = {}
+    sections = {"timers": timers, "histograms": histograms}
+    counters: Dict[str, float] = {}
     with registry._lock:
-        prev = registry._last_snapshot
-        registry._last_snapshot = cur
-        record = snapshot_delta(prev, cur, window=window)
+        rows = registry._window_rows
+        if rows is None or rows.generation != registry._generation:
+            rows = registry._window_rows = _WindowRows(registry, rows)
+        for key, child in rows.counters:
+            value = child.value
+            delta = value - child.emitted
+            if delta:
+                counters[key] = delta
+                child.emitted = value
+        gauges = {key: child.value for key, child in rows.gauges}
+        for key, child, section, edges in rows.distributions:
+            if child.count == child.emitted_count:
+                continue
+            with child._lock:
+                count = child.count
+                total = child.sum
+                buckets = list(child.bucket_counts)
+            dcount = count - child.emitted_count
+            dsum = total - child.emitted_sum
+            dbuckets = [
+                c - p for c, p in zip(buckets, child.emitted_buckets)
+            ]
+            child.emitted_count = count
+            child.emitted_sum = total
+            child.emitted_buckets = buckets
+            if dcount <= 0:
+                continue
+            entry: Dict[str, object] = {
+                "count": dcount,
+                "sum": dsum,
+                "mean": dsum / dcount,
+            }
+            _window_quantiles(edges, dbuckets, entry)
+            sections[section][key] = entry
+        record = {
+            "window": window,
+            "ts": ts,
+            "counters": counters,
+            "gauges": gauges,
+            "timers": timers,
+            "histograms": histograms,
+        }
         registry.window_series.append(record)
     return record

@@ -36,8 +36,9 @@ Delivery semantics are explicit rather than implicitly exactly-once:
 * downstream installs are at-least-once: version-stamped, idempotent,
   retried by the :class:`~.faults.InstallScheduler` until acked.
 
-The output is a list of per-window reports plus channel totals — the
-accuracy-per-bit story of the paper, measured rather than asserted.
+The output is a list of per-window reports plus the run's channel byte
+totals — the accuracy-per-bit story of the paper, measured rather than
+asserted.
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ class SystemReport:
     """Aggregate outcome of a monitoring run."""
 
     windows: List[WindowReport] = field(default_factory=list)
+    #: Channel bytes sent since the previous run() on the same system
+    #: ended (the first run also carries the training installs).
     function_bytes: int = 0
     upstream_bytes: int = 0
     raw_bytes: int = 0
@@ -196,6 +199,10 @@ class MonitoringSystem:
         ]
         self.faults = faults
         self.channel = Channel(table.domain, faults=faults)
+        #: Channel ``(upstream, downstream)`` byte totals when the last
+        #: run() ended: a report bills only the bytes sent since, so
+        #: training installs count toward the first run.
+        self._billed_bytes = (0, 0)
         self.max_install_attempts = max_install_attempts
         #: Worker threads partitioning monitor windows concurrently
         #: (1 = the serial loop).  Results are identical either way:
@@ -524,10 +531,17 @@ class MonitoringSystem:
                     )
                     report.windows.append(window_report)
                     report.raw_bytes += raw
+                    # One field dict per window, for the decode event
+                    # and the SLO signals alike.
+                    fields = (
+                        asdict(window_report)
+                        if journal.enabled or slo.enabled
+                        else None
+                    )
                     if journal.enabled:
                         # The decode event carries the full WindowReport
                         # so replay can rebuild it field-for-field.
-                        journal.emit("decode", **asdict(window_report))
+                        journal.emit("decode", **fields)
                     if registry.enabled:
                         registry.counter("system.windows").inc()
                         registry.counter("system.tuples").inc(int(uids.size))
@@ -560,9 +574,7 @@ class MonitoringSystem:
                     if slo.enabled:
                         signals = {
                             name: float(value)
-                            for name, value in asdict(
-                                window_report
-                            ).items()
+                            for name, value in fields.items()
                             if isinstance(value, (int, float))
                         }
                         if tracer.enabled:
@@ -592,8 +604,12 @@ class MonitoringSystem:
             self.channel.faults = previous_faults
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-        report.upstream_bytes = self.channel.upstream_bytes
-        report.function_bytes = self.channel.downstream_bytes
+            billed_upstream, billed_downstream = self._billed_bytes
+            self._billed_bytes = (
+                self.channel.upstream_bytes, self.channel.downstream_bytes,
+            )
+        report.upstream_bytes = self._billed_bytes[0] - billed_upstream
+        report.function_bytes = self._billed_bytes[1] - billed_downstream
         if slo.enabled:
             report.alerts = slo.finish()
         if journal.enabled:

@@ -22,6 +22,9 @@ Covered here, over randomized functions and windows:
 * the mode machinery itself.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +193,33 @@ class TestCompiledEstimator:
         assert CompiledEstimator.for_pair(
             table, fn
         ) is CompiledEstimator.for_pair(table, fn)
+
+    def test_estimator_recompiled_for_another_table(self):
+        fn = NonoverlappingPartitioning(DOM, [Bucket(DOM.node(1, 0))])
+        first = GroupTable(DOM, [DOM.node(5, p) for p in range(32)])
+        second = GroupTable(DOM, [DOM.node(5, p) for p in range(32)])
+        estimator = CompiledEstimator.for_pair(first, fn)
+        assert CompiledEstimator.for_pair(second, fn).table is second
+        assert CompiledEstimator.for_pair(first, fn) is not estimator
+
+    def test_superseded_function_is_freed(self):
+        # The compiled estimator is cached on its function, so it must
+        # not keep that function alive once a rebuild replaces it.
+        table = GroupTable(DOM, [DOM.node(5, p) for p in range(32)])
+        center = ControlCenter(
+            table, get_metric("rms"), algorithm="nonoverlapping",
+            budget=4, cache_size=0,
+        )
+        counts = np.arange(len(table), dtype=np.float64)
+        old = center.rebuild_function(counts)
+        CompiledEstimator.for_pair(table, old).estimate(
+            histogram_from_group_counts(table, counts, old)
+        )
+        superseded = weakref.ref(old)
+        del old
+        center.rebuild_function(counts[::-1].copy())
+        gc.collect()
+        assert superseded() is None
 
 
 class TestVectorizedMerge:

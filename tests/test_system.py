@@ -299,6 +299,35 @@ class TestCompressionRatio:
         )
         assert report.compression_ratio == pytest.approx(20.0)
 
+    def test_consecutive_runs_report_their_own_bytes(self, workload):
+        # Byte totals are per run: a rerun on the same system ships the
+        # same histograms, so it reports the same upstream bytes.  The
+        # training installs count toward the first run, which therefore
+        # equals a single run on a fresh system.
+        table, history, live = workload
+
+        def trained():
+            system = MonitoringSystem(
+                table, get_metric("rms"), num_monitors=2,
+                algorithm="lpm_greedy", budget=40,
+            )
+            system.train(history)
+            return system
+
+        system = trained()
+        first, second, third = (
+            system.run(live, window_width=5.0) for _ in range(3)
+        )
+        assert first == trained().run(live, window_width=5.0)
+        assert first.function_bytes > 0
+        assert second.upstream_bytes == first.upstream_bytes > 0
+        assert second.function_bytes == 0
+        assert third == second
+        assert third.compression_ratio == second.compression_ratio
+        assert second.compression_ratio == pytest.approx(
+            second.raw_bytes / second.upstream_bytes
+        )
+
 
 class TestWireFormatV2:
     """The v2 wire format through the whole pipeline: identical
