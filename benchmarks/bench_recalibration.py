@@ -3,14 +3,16 @@
 Times a from-scratch DP construction against a subtree-memoized
 incremental rebuild (``repro.algorithms.incremental``) for both exact
 semantics across a drift-locality sweep: the fraction of the nonzero
-support whose counts move between builds ranges from 1% to 100%.  The
+support whose counts move between builds ranges from 1% to 100%, and
+one more point moves groups into and out of the nonzero support (the
+pruned tree changes shape, as it does under a flash crowd).  The
 incremental path must be *bit-identical* to the full build — every
 point asserts curve-byte equality — so the only thing measured is how
 much of the previous build's DP state the memo lets the rebuild skip.
 
-Timings are construction-only (the ``PrunedHierarchy`` build is timed
-separately and reported per workload): the full leg times ``build()``
-alone; the incremental leg times session creation + build + memo
+A rebuild starts from counts, so both legs include the
+``PrunedHierarchy`` build: the full leg times hierarchy + ``build()``;
+the incremental leg times hierarchy + session creation + build + memo
 finish.  All full-build repetitions run consecutively, then all
 incremental repetitions, and each leg reports the minimum — the memo
 arena is patched in place, so between incremental reps the harness
@@ -39,7 +41,7 @@ from repro.algorithms import incremental as incmod
 from repro.algorithms.construct import build
 from repro.data import TrafficModel, generate_subnet_table, generate_trace
 
-SCHEMA = "repro.bench_recalibration.v1"
+SCHEMA = "repro.bench_recalibration.v2"
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -61,6 +63,10 @@ TINY_GRID: List[Tuple[str, int, int, int]] = [
 
 #: Fraction of the nonzero support drifted between builds.
 DRIFT_FRACTIONS = [0.01, 0.10, 0.50, 1.00]
+
+#: Fraction of the group range whose support changes at the
+#: support-drift point.
+SUPPORT_FRACTION = 0.10
 
 REPS = 5
 
@@ -90,6 +96,25 @@ def _drift(counts: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
+def _drift_support(counts: np.ndarray, fraction: float) -> np.ndarray:
+    """Move groups into and out of the nonzero support.
+
+    Inside a contiguous ``fraction`` of the group range (starting a
+    third of the way in), every other nonzero group drops to zero and
+    every other zero group gets a count — so both the counts and the
+    pruned shape change there, and nowhere else.
+    """
+    out = counts.copy()
+    n = out.size
+    lo = n // 3
+    hi = lo + max(2, int(fraction * n))
+    nz = lo + np.flatnonzero(out[lo:hi] > 0)
+    zero = lo + np.flatnonzero(out[lo:hi] == 0)
+    out[nz[::2]] = 0.0
+    out[zero[::2]] = float(np.median(counts[counts > 0]))
+    return out
+
+
 def _build_with_memo(table, counts, algorithm, metric, budget, memo):
     """One incremental build; returns (result, next_memo, stats)."""
     h = PrunedHierarchy(table, counts)
@@ -104,33 +129,32 @@ def run_grid(grid: str) -> Dict[str, object]:
     points: List[Dict[str, object]] = []
     for algorithm, height, packets, budget in rows:
         table, counts = _workload(height, packets)
-        t0 = time.perf_counter()
-        hierarchy = PrunedHierarchy(table, counts)
-        hierarchy_seconds = time.perf_counter() - t0
         workload = {
             "algorithm": algorithm,
             "height": height,
             "packets": packets,
             "budget": budget,
             "groups": table.num_groups,
-            "pruned_nodes": len(hierarchy.nodes),
+            "pruned_nodes": len(PrunedHierarchy(table, counts)),
             "nonzero_groups": int(np.count_nonzero(counts)),
             "traffic": "zipf(active=0.95, s=1.1)",
-            "hierarchy_seconds": round(hierarchy_seconds, 6),
         }
         print(
             f"{algorithm} h={height} B={budget} "
-            f"nodes={workload['pruned_nodes']} "
-            f"(hierarchy {hierarchy_seconds * 1e3:.1f} ms)"
+            f"nodes={workload['pruned_nodes']}"
         )
-        for fraction in DRIFT_FRACTIONS:
-            drifted = _drift(counts, fraction)
-            # Full-build leg: consecutive reps, construction only.
+        drifts = [("counts", f, _drift(counts, f)) for f in DRIFT_FRACTIONS]
+        drifts.append((
+            "support", SUPPORT_FRACTION,
+            _drift_support(counts, SUPPORT_FRACTION),
+        ))
+        for kind, fraction, drifted in drifts:
+            # Full-build leg: consecutive reps, hierarchy + construction.
             full_times = []
             full_result = None
             for _ in range(REPS):
-                h = PrunedHierarchy(table, drifted)
                 t0 = time.perf_counter()
+                h = PrunedHierarchy(table, drifted)
                 full_result = build(algorithm, h, metric, budget)
                 full_times.append(time.perf_counter() - t0)
             # Incremental leg: memo seeded from a baseline build
@@ -143,11 +167,11 @@ def run_grid(grid: str) -> Dict[str, object]:
             inc_result = None
             stats: Dict[str, float] = {}
             for _ in range(REPS):
+                t0 = time.perf_counter()
                 h = PrunedHierarchy(table, drifted)
                 session = incmod.new_session(
                     algorithm, h, metric, budget, memo
                 )
-                t0 = time.perf_counter()
                 inc_result = build(
                     algorithm, h, metric, budget, memo=session
                 )
@@ -163,12 +187,13 @@ def run_grid(grid: str) -> Dict[str, object]:
             if not identical:
                 raise AssertionError(
                     f"incremental curve diverged: {algorithm} "
-                    f"drift={fraction}"
+                    f"{kind} drift={fraction}"
                 )
             full_s = min(full_times)
             inc_s = min(inc_times)
             point = {
                 "workload": workload,
+                "drift": kind,
                 "drift_fraction": fraction,
                 "full_seconds": round(full_s, 6),
                 "incremental_seconds": round(inc_s, 6),
@@ -180,14 +205,14 @@ def run_grid(grid: str) -> Dict[str, object]:
             }
             points.append(point)
             print(
-                f"  drift={fraction:.2f}: full={full_s * 1e3:.1f}ms "
+                f"  {kind} drift={fraction:.2f}: full={full_s * 1e3:.1f}ms "
                 f"inc={inc_s * 1e3:.1f}ms ({point['speedup']}x, "
                 f"reused={point['reused_fraction']:.3f}, "
                 f"identical={identical})"
             )
     low_drift = {}
     for p in points:
-        if p["drift_fraction"] <= 0.10:
+        if p["drift"] == "counts" and p["drift_fraction"] <= 0.10:
             alg = p["workload"]["algorithm"]
             key = f"{alg}@{p['drift_fraction']}"
             low_drift[key] = p["speedup"]
@@ -196,6 +221,7 @@ def run_grid(grid: str) -> Dict[str, object]:
         "generated_by": "benchmarks/bench_recalibration.py",
         "grid": grid,
         "drift_fractions": DRIFT_FRACTIONS,
+        "support_fraction": SUPPORT_FRACTION,
         "reps": REPS,
         "points": points,
         "low_drift_speedups": low_drift,

@@ -30,7 +30,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +39,13 @@ from ..core.hierarchy import PNode, PrunedHierarchy
 from .kernels import INF, kernel_mode, knapsack_merge
 
 __all__ = ["INF", "knapsack_merge", "DPContext", "ConstructionResult"]
+
+#: A pruned node, given as a :class:`PNode` or its postorder index.
+NodeRef = Union[PNode, int]
+
+
+def _index(node: NodeRef) -> int:
+    return node if isinstance(node, (int, np.integer)) else node.index
 
 
 @dataclass
@@ -121,38 +128,13 @@ class DPContext:
         #: Whether batched/vectorized evaluation is active (everything
         #: but the ``"naive"`` reference mode).
         self.batched = mode != "naive"
-        # Leaf arrays in postorder; per-node contiguous slices.  They
-        # depend only on the hierarchy (not the metric or kernel mode),
-        # so they are built once per hierarchy and shared by every
-        # context over it.
-        cached = getattr(hierarchy, "_dp_leaf_arrays", None)
-        if cached is None:
-            n = len(hierarchy.nodes)
-            actual: List[float] = []
-            weight: List[float] = []
-            leaf_lo = np.zeros(n, dtype=np.int64)
-            leaf_hi = np.zeros(n, dtype=np.int64)
-            for p in hierarchy.nodes:
-                if p.is_leaf:
-                    leaf_lo[p.index] = len(actual)
-                    if p.kind == "group":
-                        actual.append(p.tuples)
-                        weight.append(1.0)
-                    else:  # zero summary
-                        actual.append(0.0)
-                        weight.append(float(p.n_groups))
-                    leaf_hi[p.index] = len(actual)
-                else:
-                    leaf_lo[p.index] = leaf_lo[p.left.index]
-                    leaf_hi[p.index] = leaf_hi[p.right.index]
-            cached = (
-                leaf_lo,
-                leaf_hi,
-                np.asarray(actual, dtype=np.float64),
-                np.asarray(weight, dtype=np.float64),
-            )
-            hierarchy._dp_leaf_arrays = cached
-        self.leaf_lo, self.leaf_hi, self.leaf_actual, self.leaf_weight = cached
+        # Leaf slots in postorder; every node's leaves are a contiguous
+        # slice of them (read straight off the hierarchy's arrays).
+        arrays = hierarchy.arrays
+        self.leaf_lo = arrays.leaf_lo
+        self.leaf_hi = arrays.leaf_hi
+        self.leaf_weight = arrays.leaf_weight
+        self.leaf_actual = hierarchy.leaf_actual
         # Sufficient-statistic prefix arrays: stats_prefix[k][hi] -
         # stats_prefix[k][lo] is the weighted sum of the k-th statistic
         # over any postorder slice, making sum-combine grperr O(1).
@@ -177,10 +159,11 @@ class DPContext:
         """Whether the O(1) sufficient-statistic path is active."""
         return self._stats_prefix is not None
 
-    def grperr(self, pnode: PNode, density: float) -> float:
+    def grperr(self, pnode: NodeRef, density: float) -> float:
         """Aggregate penalty of estimating every group below ``pnode``
         (zeros included) at the given density."""
-        lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
+        i = _index(pnode)
+        lo, hi = self.leaf_lo[i], self.leaf_hi[i]
         if lo == hi:
             return 0.0
         if self._stats_prefix is not None:
@@ -192,7 +175,7 @@ class DPContext:
         return float(pens.max())
 
     def grperr_many(
-        self, pnode: PNode, densities: Sequence[float]
+        self, pnode: NodeRef, densities: Sequence[float]
     ) -> np.ndarray:
         """Batched :meth:`grperr` of one node at many densities.
 
@@ -206,7 +189,8 @@ class DPContext:
         slices fall back to one exact slice evaluation per density.
         """
         d = np.asarray(densities, dtype=np.float64)
-        lo, hi = self.leaf_lo[pnode.index], self.leaf_hi[pnode.index]
+        i = _index(pnode)
+        lo, hi = self.leaf_lo[i], self.leaf_hi[i]
         if lo == hi:
             return np.zeros(d.shape)
         if self._stats_prefix is not None:
@@ -275,13 +259,11 @@ class DPContext:
                 else pens
             )
         multi = np.nonzero(lengths > 1)[0]
-        if multi.size:
-            nodes = self.hierarchy.nodes
-            for k in multi.tolist():
-                out[k] = self.grperr_many(nodes[int(idx[k])], d[k])
+        for k in multi.tolist():
+            out[k] = self.grperr_many(int(idx[k]), d[k])
         return out
 
-    def grperr_own(self, pnode: PNode) -> float:
+    def grperr_own(self, pnode: NodeRef) -> float:
         """``grperr`` at the node's own density — the error of making
         ``pnode`` a bucket in a nonoverlapping cut.
 
@@ -291,9 +273,10 @@ class DPContext:
         match the seed's one-element slice evaluation bit for bit, and
         longer slices run the seed expression verbatim per node.
         """
+        i = _index(pnode)
         if self.batched:
-            return float(self.own_errors()[pnode.index])
-        return self.grperr(pnode, pnode.density)
+            return float(self.own_errors()[i])
+        return self.grperr(i, float(self.hierarchy.densities[i]))
 
     def own_errors(self) -> np.ndarray:
         """The per-node own-density error array (computed on first use).
@@ -307,28 +290,19 @@ class DPContext:
         return self._own_err
 
     def node_densities(self) -> np.ndarray:
-        """Per-node densities in postorder (cached on the hierarchy —
-        they depend only on the window's counts, not the metric)."""
-        hierarchy = self.hierarchy
-        dens = getattr(hierarchy, "_dp_densities", None)
-        if dens is None:
-            nodes = hierarchy.nodes
-            dens = np.fromiter(
-                (p.density for p in nodes),
-                dtype=np.float64,
-                count=len(nodes),
-            )
-            hierarchy._dp_densities = dens
-        return dens
+        """Per-node densities in postorder (the hierarchy's — they
+        depend only on the window's counts, not the metric)."""
+        return self.hierarchy.densities
 
     def splice_own_errors(
         self, prev: np.ndarray, dirty_idx: np.ndarray
     ) -> None:
-        """Seed the own-error cache from a previous build over the same
-        pruned structure, recomputing only the ``dirty_idx`` rows.
+        """Seed the own-error cache with ``prev`` — a previous build's
+        own errors, gathered into this hierarchy's postorder — and
+        recompute only the ``dirty_idx`` rows.
 
         A clean row's own error is a function of its subtree's counts
-        alone — the same invariant that lets incremental rebuilds splice
+        alone — the same invariant that lets incremental rebuilds reuse
         whole DP tables — and the subset pass runs the identical
         row-independent kernels as the full pass, so the seeded array
         matches a fresh :meth:`own_errors` bit for bit.
@@ -343,7 +317,7 @@ class DPContext:
     def _compute_own_errors(
         self, only: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        n = len(self.hierarchy.nodes)
+        n = len(self.hierarchy)
         dens = self.node_densities()
         out = np.zeros(n)
         lo, hi = self.leaf_lo, self.leaf_hi
@@ -419,7 +393,7 @@ class DPContext:
         if total_penalty == INF:
             return INF
         return self.metric.finalize_total(
-            total_penalty, float(self.hierarchy.root.n_groups)
+            total_penalty, float(self.hierarchy.num_groups)
         )
 
     def finalize_curve(self, penalties: np.ndarray) -> np.ndarray:
@@ -430,7 +404,7 @@ class DPContext:
             for i, p in enumerate(penalties):
                 out[i] = self.finalize(float(p))
             return out
-        count = float(self.hierarchy.root.n_groups)
+        count = float(self.hierarchy.num_groups)
         out = np.full(penalties.shape, INF)
         finite = penalties != INF
         if finite.any():

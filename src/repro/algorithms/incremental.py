@@ -27,57 +27,55 @@ The lever is the tree structure of the dynamic programs themselves:
   copied from the memo and only the first ``D`` rows are re-merged —
   in one stacked kernel call, since batch rows are row-independent.
 
-Each node's identity is its per-subtree **content fingerprint**:
-BLAKE2b over the subtree's pruned structure (node ids, kinds, group
-counts, tuple counts, recursively over children).  Two builds of the
-same window support (the pruned tree's shape is a pure function of
-which groups are nonzero) assign every subtree the same postorder
-index, so the common case — localized count drift with an unchanged
-support set, recognized by a BLAKE2b *structure signature* over the
-nonzero mask — resolves fingerprint equality by index: the dirty set
-is one vectorized diff of the new counts against the counts the memo
-was built from, pushed to internal nodes by a prefix sum over each
-subtree's contiguous postorder interval, and only dirty fingerprints
-are re-hashed.  When the support set did change, the nonoverlapping
-session falls back to fingerprint-keyed splicing (reuse survives
-pruned-shape changes elsewhere in the tree); the overlapping session
-starts cold — correct either way, because reuse is an optimization
-over an identical computation.
+A pruned internal node's subtree content is a pure function of the
+node's virtual id and the counts of the groups inside its identifier
+range — which groups are nonzero fixes the branches and zero summaries
+below it, and their counts fix every tuple total — so, for one group
+table, a node is **clean** exactly when the previous build has a node
+with the same id and no count in its group range moved.  That is one
+vectorized test for every node: a prefix sum over the count diff
+against the counts the memo was built from, read at each node's group
+range, plus one ``searchsorted`` of the node ids into the previous
+build's.  It holds whether or not the nonzero support changed, so the
+nonoverlapping session has a single sweep: clean tables and splits are
+carried over and every dirty node runs through the phase-batched merge
+the full sweep uses.  The overlapping session patches its arena in
+place and needs the previous postorder unchanged, so it recognizes an
+unchanged support by a BLAKE2b *structure signature* over the nonzero
+mask and otherwise starts cold — correct either way, because reuse is
+an optimization over an identical computation.
 
 A memo is only consulted when its configuration key (algorithm,
-metric, budget, builder options, kernel mode) matches the rebuild's;
-the kernel mode is part of the key because ``suffstats`` curves are
-not bit-identical to the other modes'.  Because reused entries are
-the arrays an identical solve on identical content produced, the
-incremental result — curve, argmin tie-breaks, reconstructed bucket
-set — is **bit-identical to a from-scratch build**.
-``tests/test_incremental.py`` property-tests this with zero
+metric, budget, builder options, kernel mode) and its group table
+match the rebuild's; the kernel mode is part of the key because
+``suffstats`` curves are not bit-identical to the other modes'.
+Because reused entries are the arrays an identical solve on identical
+content produced, the incremental result — curve, argmin tie-breaks,
+reconstructed bucket set — is **bit-identical to a from-scratch
+build**.  ``tests/test_incremental.py`` property-tests this with zero
 tolerance.
 
-The dirty set is cross-checked against the count diff: each session
-diffs the new counts against the counts the previous memo was built
-from (the warehouse history the standing function used), reporting
-``dirty_groups`` alongside the subtree reuse counters so the drift
-signals of PR 5 (``quality.drift_score``, occupancy skew) can
-corroborate what the rebuild actually re-solved.
+Each session also reports ``dirty_groups`` (groups whose count moved
+since the counts the previous memo was built from — the warehouse
+history the standing function used) alongside the subtree reuse
+counters, so the drift signals of PR 5 (``quality.drift_score``,
+occupancy skew) can corroborate what the rebuild actually re-solved.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import HierarchyArrays, PNode, PrunedHierarchy
 from .base import INF, DPContext
 from .kernels import kernel_mode
 
 __all__ = [
-    "subtree_fingerprints",
     "memo_config_key",
     "memo_compatible",
     "supports_incremental",
@@ -92,41 +90,6 @@ __all__ = [
 #: heuristics rebuild through their own greedy passes and are cheap
 #: enough that memoization has nothing to amortize.
 INCREMENTAL_ALGORITHMS = ("nonoverlapping", "overlapping")
-
-_KIND_CODE = {"group": 0, "zero": 1, "branch": 2}
-
-_pack_node = struct.Struct("<Bqqd").pack
-
-
-def _node_hash(p: PNode, fps: List[bytes]) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_pack_node(_KIND_CODE[p.kind], p.node, p.n_groups, p.tuples))
-    if p.left is not None:
-        h.update(fps[p.left.index])
-        h.update(fps[p.right.index])
-    return h.digest()
-
-
-def subtree_fingerprints(hierarchy: PrunedHierarchy) -> List[bytes]:
-    """Per-node content fingerprints, cached on the hierarchy.
-
-    ``fps[i]`` identifies the *content* of node ``i``'s pruned subtree:
-    BLAKE2b-128 over ``(kind, node id, group count, tuple count)`` plus
-    the children's fingerprints (postorder guarantees children hash
-    first).  Everything the dynamic programs read about a subtree —
-    leaf counts and weights, densities, collapse decisions, knapsack
-    caps — is a function of exactly these fields, so equal
-    fingerprints imply bit-identical per-subtree DP state for a fixed
-    configuration.
-    """
-    fps = getattr(hierarchy, "_subtree_fps", None)
-    if fps is not None:
-        return fps
-    fps = [b""] * len(hierarchy.nodes)
-    for p in hierarchy.nodes:  # postorder: children precede parents
-        fps[p.index] = _node_hash(p, fps)
-    hierarchy._subtree_fps = fps
-    return fps
 
 
 def _structure_signature(counts: np.ndarray) -> bytes:
@@ -166,14 +129,15 @@ def memo_compatible(
     """Whether a (possibly foreign) memo can seed a rebuild under this
     configuration.
 
-    Sessions already discard memos whose config key differs, so passing
-    an incompatible memo is safe but pointless; this check lets a
-    *shared* memo store (the serving layer's cross-tenant cache) avoid
-    handing out memos that would contribute nothing.  Config-compatible
-    memos from a different tenant are sound to share: every reuse
-    inside a session is guarded by subtree content fingerprints, and
-    equal fingerprints imply bit-identical per-subtree DP state for a
-    fixed configuration (see :func:`subtree_fingerprints`).
+    Sessions already discard memos whose config key or group table
+    differs, so passing an incompatible memo is safe but pointless; this
+    check lets a *shared* memo store (the serving layer's cross-tenant
+    cache) avoid handing out memos that would contribute nothing.
+    Config-compatible memos from a different tenant with the same table
+    are sound to share: every reuse inside a session is guarded by the
+    diff against the memo's own counts, and a node whose group range
+    saw no change has bit-identical per-subtree DP state for a fixed
+    configuration.
     """
     return (
         memo is not None
@@ -205,312 +169,50 @@ def _dirty_groups(
     return int(np.count_nonzero(old_counts != counts))
 
 
-@dataclass
-class _TreeArrays:
-    """Flat postorder structure of one pruned hierarchy.
-
-    ``left``/``right`` are child postorder indices (-1 at leaves),
-    ``size`` is the subtree node count — postorder puts node ``i``'s
-    subtree at the contiguous interval ``[i - size[i] + 1, i]`` — and
-    ``group`` maps group leaves to their count-array column (-1 for
-    branch and zero nodes).  ``parent``/``depth``/``phase`` (subtree
-    height) describe the vertical layout, ``order`` lists the internal
-    nodes sorted by phase (``order_phase`` alongside) — a valid
-    bottom-up batch schedule — and the ``leaf_*`` arrays mirror
-    :class:`~repro.algorithms.base.DPContext`'s postorder leaf-slot
-    layout (``leaf_group`` is the slot's count column, -1 for zero
-    summaries whose weight is their group count).  Pure structure: two
-    builds with the same structure signature share these arrays
-    verbatim, which is what lets a rebuild skip every O(|nodes|)
-    Python setup loop.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    size: np.ndarray
-    group: np.ndarray
-    node_id: np.ndarray
-    parent: np.ndarray
-    depth: np.ndarray
-    phase: np.ndarray
-    n_groups: np.ndarray
-    n_nonzero: np.ndarray
-    order: np.ndarray
-    order_phase: np.ndarray
-    leaf_lo: np.ndarray
-    leaf_hi: np.ndarray
-    leaf_weight: np.ndarray
-    leaf_group: np.ndarray
-
-
-def _tree_arrays(hierarchy: PrunedHierarchy) -> _TreeArrays:
-    cached = getattr(hierarchy, "_inc_tree_arrays", None)
-    if cached is not None:
-        return cached
-    nodes = hierarchy.nodes
-    n = len(nodes)
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-    group = np.full(n, -1, dtype=np.int64)
-    node_id = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    n_groups = np.zeros(n, dtype=np.int64)
-    n_nonzero = np.zeros(n, dtype=np.int64)
-    ph = [0] * n
-    leaf_lo = np.zeros(n, dtype=np.int64)
-    leaf_hi = np.zeros(n, dtype=np.int64)
-    weights: List[float] = []
-    slots: List[int] = []
-    for p in nodes:
-        i = p.index
-        n_groups[i] = p.n_groups
-        n_nonzero[i] = p.n_nonzero
-        node_id[i] = p.node
-        if p.left is not None:
-            li, ri = p.left.index, p.right.index
-            left[i] = li
-            right[i] = ri
-            parent[li] = i
-            parent[ri] = i
-            size[i] = size[li] + size[ri] + 1
-            ph[i] = (ph[li] if ph[li] >= ph[ri] else ph[ri]) + 1
-            leaf_lo[i] = leaf_lo[li]
-            leaf_hi[i] = leaf_hi[ri]
-        else:
-            leaf_lo[i] = len(weights)
-            if p.group_index is not None:
-                group[i] = p.group_index
-                slots.append(p.group_index)
-                weights.append(1.0)
-            else:
-                slots.append(-1)
-                weights.append(float(p.n_groups))
-            leaf_hi[i] = len(weights)
-    for i in range(n - 1, -1, -1):  # root-first: parents before children
-        li = left[i]
-        if li >= 0:
-            depth[li] = depth[i] + 1
-            depth[right[i]] = depth[i] + 1
-    phase = np.asarray(ph, dtype=np.int64)
-    internal = np.nonzero(left >= 0)[0]
-    order = internal[np.argsort(phase[internal], kind="stable")]
-    cached = _TreeArrays(
-        left=left, right=right, size=size, group=group,
-        node_id=node_id,
-        parent=parent, depth=depth, phase=phase, n_groups=n_groups,
-        n_nonzero=n_nonzero,
-        order=order, order_phase=phase[order],
-        leaf_lo=leaf_lo, leaf_hi=leaf_hi,
-        leaf_weight=np.asarray(weights, dtype=np.float64),
-        leaf_group=np.asarray(slots, dtype=np.int64),
-    )
-    hierarchy._inc_tree_arrays = cached
-    return cached
-
-
-def _phase_slices(order: np.ndarray, order_phase: np.ndarray):
-    """Yield the ``order`` slice of each phase, ascending — every
-    node's children belong to a strictly earlier slice."""
-    pos = 0
-    total = order.size
-    while pos < total:
-        h = order_phase[pos]
-        end = pos + int(
-            np.searchsorted(order_phase[pos:], h, side="right")
-        )
-        yield order[pos:end]
-        pos = end
-
-
-def _ranges(sizes: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s)`` for each ``s`` in ``sizes`` — the
-    row-offset pattern for gathering variable-height blocks out of a
-    contiguous row arena."""
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-
-
-def _install_caches(
-    hierarchy: PrunedHierarchy, ar: _TreeArrays, counts: np.ndarray
-) -> None:
-    """Rebuild the per-hierarchy DP caches from the structural arrays
-    instead of per-node Python loops.
-
-    A same-structure rebuild constructs a fresh :class:`PrunedHierarchy`
-    whose postorder (hence leaf-slot layout) matches the memo's, so the
-    cached leaf arrays, phase structure, and densities the DP setup
-    would derive by walking the nodes are recomputed here with a few
-    vectorized passes and pre-installed under the attribute names
-    :class:`~repro.algorithms.base.DPContext` and the phase-batched
-    sweep look up.  Every value is bit-identical to the walked version:
-    leaf actuals are the same count gathers, and subtree tuple totals
-    are accumulated child-pair by child-pair (per phase) exactly as
-    ``PrunedHierarchy`` adds them, so the density quotients match.
-    """
-    hierarchy._inc_tree_arrays = ar
-    if getattr(hierarchy, "_dp_leaf_arrays", None) is None:
-        lg = ar.leaf_group
-        actual = np.where(lg >= 0, counts[np.maximum(lg, 0)], 0.0)
-        hierarchy._dp_leaf_arrays = (
-            ar.leaf_lo, ar.leaf_hi, actual, ar.leaf_weight
-        )
-    if getattr(hierarchy, "_dp_structure", None) is None:
-        hierarchy._dp_structure = (ar.phase, ar.left, ar.right)
-    if getattr(hierarchy, "_inc_tuples", None) is None:
-        n = ar.left.shape[0]
-        tup = np.zeros(n)
-        hg = ar.group >= 0
-        tup[hg] = counts[ar.group[hg]]
-        for idx in _phase_slices(ar.order, ar.order_phase):
-            tup[idx] = tup[ar.left[idx]] + tup[ar.right[idx]]
-        hierarchy._inc_tuples = tup
-        if getattr(hierarchy, "_dp_densities", None) is None:
-            dens = np.zeros(n)
-            np.divide(tup, ar.n_groups, out=dens, where=ar.n_groups > 0)
-            hierarchy._dp_densities = dens
-
-
-def _dirty_vector(
-    arrays: _TreeArrays, old_counts: np.ndarray, counts: np.ndarray
+def _changed_below(
+    arrays: HierarchyArrays, old_counts: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Per-node dirty flags for a same-structure rebuild, vectorized.
+    """Per-node flags: some count in the node's group range changed.
 
-    A node is dirty iff some group leaf in its subtree changed count.
-    Leaf flags are one gather through ``arrays.group``; internal flags
-    are one prefix-sum difference over each subtree's contiguous
-    postorder interval — no per-node Python.
+    One prefix sum over the count diff, read at every node's group
+    range — no per-node Python.
     """
-    changed = old_counts != counts
-    n = arrays.left.shape[0]
-    leaf_changed = np.zeros(n, dtype=np.int64)
-    has_group = arrays.group >= 0
-    leaf_changed[has_group] = changed[arrays.group[has_group]]
-    prefix = np.concatenate(([0], np.cumsum(leaf_changed)))
-    idx = np.arange(n)
-    return (prefix[idx + 1] - prefix[idx - arrays.size + 1]) > 0
-
-
-_PACK_DTYPE = np.dtype(
-    [("k", "u1"), ("n", "<i8"), ("g", "<i8"), ("t", "<f8")]
-)  # unaligned: byte-for-byte the struct "<Bqqd" layout of _pack_node
-
-
-def _refresh_fingerprints(
-    hierarchy: PrunedHierarchy,
-    old_fps: List[bytes],
-    dirty: np.ndarray,
-    ar: Optional[_TreeArrays] = None,
-) -> List[bytes]:
-    """Carry fingerprints forward across a same-structure rebuild by
-    re-hashing only the dirty nodes (ascending postorder, so dirty
-    children re-hash before their parents; clean fingerprints are
-    valid as-is because their subtree content is unchanged).
-
-    With structural arrays (and the cached per-node tuple totals, which
-    match ``PNode.tuples`` bit for bit), the 25-byte hash prefixes are
-    packed in one vectorized pass instead of touching ``PNode``
-    attributes per node."""
-    fps = list(old_fps)
-    dirty_idx = np.nonzero(dirty)[0]
-    tup = getattr(hierarchy, "_inc_tuples", None)
-    if ar is None or tup is None:
-        nodes = hierarchy.nodes
-        for i in dirty_idx.tolist():
-            fps[i] = _node_hash(nodes[i], fps)
-        hierarchy._subtree_fps = fps
-        return fps
-    rec = np.empty(dirty_idx.size, dtype=_PACK_DTYPE)
-    grp = ar.group[dirty_idx]
-    lefts = ar.left[dirty_idx]
-    rec["k"] = np.where(grp >= 0, 0, np.where(lefts < 0, 1, 2))
-    rec["n"] = ar.node_id[dirty_idx]
-    rec["g"] = ar.n_groups[dirty_idx]
-    rec["t"] = tup[dirty_idx]
-    buf = rec.tobytes()
-    lch = lefts.tolist()
-    rch = ar.right[dirty_idx].tolist()
-    blake = hashlib.blake2b
-    for j, i in enumerate(dirty_idx.tolist()):
-        li = lch[j]
-        pre = buf[25 * j : 25 * j + 25]
-        data = pre if li < 0 else pre + fps[li] + fps[rch[j]]
-        fps[i] = blake(data, digest_size=16).digest()
-    hierarchy._subtree_fps = fps
-    return fps
-
-
-class _LazySplits(dict):
-    """Split-array mapping backed by the memo's per-index entries.
-
-    The reconstruction walk reads ``splits[index]`` for the O(budget)
-    nodes on the chosen cut; resolving through the entry list avoids
-    materializing an |nodes|-sized dict of mostly-untouched arrays on
-    every rebuild.
-    """
-
-    def __init__(self, by_index: List[Optional["_NOEntry"]]) -> None:
-        super().__init__()
-        self._by_index = by_index
-
-    def __missing__(self, index: int) -> np.ndarray:
-        return self._by_index[index].split
+    changed = np.concatenate(([0], np.cumsum(old_counts != counts)))
+    first = arrays.first_group
+    return changed[first + arrays.n_groups] > changed[first]
 
 
 # ---------------------------------------------------------------------------
 # Nonoverlapping: whole-subtree table + split memo
 # ---------------------------------------------------------------------------
-class _NOEntry:
-    """One internal node's sweep output (leaves are recomputed — their
-    tables are two trivial entries).  Plain slots class: one of these
-    is built per dirty internal node on every rebuild, so construction
-    cost is on the incremental hot path."""
-
-    __slots__ = ("table", "split")
-
-    def __init__(self, table: np.ndarray, split: np.ndarray) -> None:
-        self.table = table
-        self.split = split
-
-
 @dataclass
 class NonoverlappingMemo:
     """All internal-node tables and splits of one build.
 
-    ``by_index`` is indexed by the build's postorder; ``fps`` carries
-    the content fingerprints so a later build whose pruned support set
-    changed can still splice clean subtrees by fingerprint
-    (:meth:`fp_map` builds that mapping on demand).  ``counts`` is the
-    count vector the build saw — the baseline for the next rebuild's
-    dirty diff.
+    ``tables``/``splits``/``own`` are indexed by the build's postorder,
+    whose virtual node ids are ``node_id``; ``tables`` and ``splits``
+    are ``None`` at leaves.  ``counts`` is the count vector the build
+    saw — the baseline for the next rebuild's dirty diff — and
+    ``table`` the fingerprint of the group table it was built over.
     """
 
     config: Tuple
+    table: bytes
     counts: np.ndarray
-    structure_sig: bytes
-    arrays: _TreeArrays
-    fps: List[bytes]
-    by_index: List[Optional[_NOEntry]]
-    #: Per-node own-density errors of the build (batched modes only) —
-    #: spliced into the next same-structure rebuild's context so only
-    #: dirty rows are re-evaluated.
+    node_id: np.ndarray
+    tables: List[Optional[np.ndarray]]
+    splits: List[Optional[np.ndarray]]
+    #: Per-node own-density errors of the build (batched modes only);
+    #: the next rebuild copies the clean nodes' rows.
     own: Optional[np.ndarray] = None
-    _fp_map: Optional[Dict[bytes, int]] = field(default=None, repr=False)
 
-    def fp_map(self) -> Dict[bytes, int]:
-        m = self._fp_map
-        if m is None:
-            m = {
-                self.fps[i]: i
-                for i, e in enumerate(self.by_index)
-                if e is not None
-            }
-            self._fp_map = m
-        return m
+    def index_of(self, node_id: np.ndarray) -> np.ndarray:
+        """This build's postorder index of each virtual node id, -1
+        where it had no such node."""
+        by_id = np.argsort(self.node_id)
+        ids = self.node_id[by_id]
+        pos = np.minimum(np.searchsorted(ids, node_id), ids.size - 1)
+        return np.where(ids[pos] == node_id, by_id[pos], -1)
 
 
 class NonoverlappingSession:
@@ -531,19 +233,17 @@ class NonoverlappingSession:
         config: Tuple,
         old: Optional[NonoverlappingMemo],
     ) -> None:
-        if old is not None and old.config != config:
+        table = hierarchy.table.fingerprint()
+        if old is not None and (
+            old.config != config
+            or old.table != table
+            or old.counts.shape != hierarchy.counts.shape
+        ):
             old = None  # a reconfigured rebuild shares nothing
         self._hierarchy = hierarchy
         self._config = config
+        self._table = table
         self._old = old
-        self._sig = _structure_signature(hierarchy.counts)
-        self._same = (
-            old is not None
-            and old.structure_sig == self._sig
-            and old.counts.shape == hierarchy.counts.shape
-        )
-        if self._same:
-            _install_caches(hierarchy, old.arrays, hierarchy.counts)
         self._result: Optional[NonoverlappingMemo] = None
         self.dirty_groups = _dirty_groups(
             None if old is None else old.counts, hierarchy.counts
@@ -554,329 +254,55 @@ class NonoverlappingSession:
         self.reused = 0
 
     # -- sweep -------------------------------------------------------------
-    def sweep(self, root: PNode, ctx: DPContext, budget: int):
+    def sweep(self, ctx: DPContext, budget: int):
         """Memoized bottom-up sweep; tables and splits bit-identical to
-        :func:`~repro.algorithms.nonoverlapping._sweep`."""
-        hierarchy = self._hierarchy
-        if root.is_leaf:
-            table = np.full(2, INF)
-            table[1] = ctx.grperr_own(root)
-            self._result = NonoverlappingMemo(
-                config=self._config,
-                counts=hierarchy.counts.copy(),
-                structure_sig=self._sig,
-                arrays=_tree_arrays(hierarchy),
-                fps=subtree_fingerprints(hierarchy),
-                by_index=[None] * len(hierarchy.nodes),
-            )
-            return table, {}
-        if self._same:
-            return self._sweep_same_structure(ctx, budget)
-        return self._sweep_restructured(root, ctx, budget)
+        :func:`~repro.algorithms.nonoverlapping._sweep`.
 
-    def _sweep_same_structure(self, ctx: DPContext, budget: int):
-        """Fast path: the pruned support set is unchanged, so old and
-        new postorders coincide index for index.  The dirty set is one
-        vectorized diff; only dirty internal nodes (ascending postorder
-        is a valid bottom-up schedule) re-run their merges, reading
-        clean child tables straight out of the previous memo."""
-        from .nonoverlapping import _merge_node_naive
+        Clean nodes (see the module notes) take their table, split and
+        own error from the previous build; every dirty internal node
+        runs through :func:`~repro.algorithms.nonoverlapping.merge_nodes`,
+        the full sweep's phase-batched merge.
+        """
+        from .nonoverlapping import _leaf_table, merge_nodes
 
         hierarchy = self._hierarchy
+        a = hierarchy.arrays
+        n = len(hierarchy)
         old = self._old
-        ar = old.arrays
-        nodes = hierarchy.nodes
-        dirty = _dirty_vector(ar, old.counts, hierarchy.counts)
-        internal = ar.left >= 0
-        dirty_internal = np.nonzero(dirty & internal)[0]
-        self.solved = int(dirty_internal.size)
-        self.reused = int(np.count_nonzero(internal)) - self.solved
-
-        by_index: List[Optional[_NOEntry]] = list(old.by_index)
-        left_arr, right_arr = ar.left, ar.right
-        new_tables: Dict[int, np.ndarray] = {}
-        if ctx.batched:
-            if old.own is not None:
-                ctx.splice_own_errors(old.own, np.nonzero(dirty)[0])
-            self._merge_dirty_batched(
-                ctx, budget, ar, dirty, dirty_internal,
-                by_index, new_tables,
-            )
+        if old is None:
+            dirty = np.ones(n, dtype=bool)
+            tables = [None] * n
+            splits = [None] * n
         else:
-            for i in dirty_internal.tolist():
-                li, ri = int(left_arr[i]), int(right_arr[i])
-                lt = (
-                    self._leaf_table(ctx, nodes[li]) if left_arr[li] < 0
-                    else new_tables[li] if dirty[li]
-                    else by_index[li].table
+            src = old.index_of(a.node_id)
+            src[_changed_below(a, old.counts, hierarchy.counts)] = -1
+            dirty = src < 0
+            take = src.tolist()  # -1 picks the appended None
+            old_tables = old.tables + [None]
+            old_splits = old.splits + [None]
+            tables = [old_tables[j] for j in take]
+            splits = [old_splits[j] for j in take]
+            if ctx.batched and old.own is not None:
+                ctx.splice_own_errors(
+                    old.own[src], np.flatnonzero(dirty)
                 )
-                rt = (
-                    self._leaf_table(ctx, nodes[ri]) if left_arr[ri] < 0
-                    else new_tables[ri] if dirty[ri]
-                    else by_index[ri].table
-                )
-                table, split = _merge_node_naive(
-                    ctx, nodes[i], lt, rt, budget
-                )
-                new_tables[i] = table
-                by_index[i] = _NOEntry(table=table, split=split)
-
+        solve = a.order[dirty[a.order]]
+        self.solved = int(solve.size)
+        self.reused = int(a.order.size) - self.solved
+        merge_nodes(ctx, budget, solve, tables, splits, release=False)
         self._result = NonoverlappingMemo(
             config=self._config,
+            table=self._table,
             counts=hierarchy.counts.copy(),
-            structure_sig=self._sig,
-            arrays=ar,
-            fps=_refresh_fingerprints(hierarchy, old.fps, dirty, ar),
-            by_index=by_index,
+            node_id=a.node_id,
+            tables=tables,
+            splits=splits,
             own=ctx.own_errors() if ctx.batched else None,
         )
-        root_index = len(nodes) - 1
-        root_table = new_tables.get(root_index)
-        if root_table is None:  # nothing dirty at all
-            root_table = by_index[root_index].table
-        return root_table, _LazySplits(by_index)
-
-    def _merge_dirty_batched(
-        self,
-        ctx: DPContext,
-        budget: int,
-        ar: _TreeArrays,
-        dirty: np.ndarray,
-        dirty_internal: np.ndarray,
-        by_index: List[Optional[_NOEntry]],
-        new_tables: Dict[int, np.ndarray],
-    ) -> None:
-        """Phase-batched re-merge of the dirty internal nodes.
-
-        The dirty set is processed level by level exactly like the full
-        phase-batched sweep (same grouping by child-table shapes, same
-        stacked kernels — every batch row is the per-node fast merge bit
-        for bit); the only difference is that clean children contribute
-        their memoized tables instead of freshly swept ones, which are
-        identical arrays by the fingerprint argument.  Table lengths
-        are structural, so the length recurrence runs over the full
-        tree to type the clean tables without touching them.
-        """
-        from .kernels import _positive_merge_batch
-        from .nonoverlapping import _shared_split_cache
-
-        if dirty_internal.size == 0:
-            return
-        own = ctx.own_errors()
-        maximum = ctx.metric.combine == "max"
-        left_idx, right_idx, phase = ar.left, ar.right, ar.phase
-        leaf_mask = left_idx < 0
-        tlen = np.where(leaf_mask, 2, 0)
-        for idx in _phase_slices(ar.order, ar.order_phase):
-            tlen[idx] = np.minimum(
-                budget, tlen[left_idx[idx]] + tlen[right_idx[idx]] - 2
-            ) + 1
-        _const_split = _shared_split_cache()
-        dorder = dirty_internal[
-            np.argsort(phase[dirty_internal], kind="stable")
-        ]
-
-        def _table(ci: int) -> np.ndarray:
-            t = new_tables.get(ci)
-            return t if t is not None else by_index[ci].table
-
-        for idx_h in _phase_slices(dorder, phase[dorder]):
-            li = left_idx[idx_h]
-            ri = right_idx[idx_h]
-            lleaf = leaf_mask[li]
-            rleaf = leaf_mask[ri]
-
-            both = lleaf & rleaf
-            if both.any():
-                g = idx_h[both]
-                size = min(budget, 2) + 1
-                block = np.empty((g.size, size))
-                block[:, 0] = INF
-                block[:, 1] = own[g]
-                if size == 3:
-                    lv = own[li[both]]
-                    rv = own[ri[both]]
-                    block[:, 2] = (
-                        np.maximum(lv, rv) if maximum else lv + rv
-                    )
-                sp = _const_split("lr", size)
-                for k, i in enumerate(g.tolist()):
-                    new_tables[i] = block[k]
-                    by_index[i] = _NOEntry(table=block[k], split=sp)
-
-            one = lleaf ^ rleaf
-            if one.any():
-                g = idx_h[one]
-                gl = li[one]
-                gr = ri[one]
-                r_is_leaf = rleaf[one]
-                inner_idx = np.where(r_is_leaf, gl, gr)
-                edge_idx = np.where(r_is_leaf, gr, gl)
-                key = tlen[inner_idx] * 2 + r_is_leaf
-                for u in np.unique(key).tolist():
-                    sel = key == u
-                    gi = g[sel]
-                    ginner = inner_idx[sel]
-                    inner_len = int(u // 2)
-                    right_leaf = bool(u & 1)
-                    size = min(budget, inner_len) + 1
-                    K = gi.size
-                    buf = np.empty((K, inner_len))
-                    for k, ii in enumerate(ginner.tolist()):
-                        buf[k] = _table(int(ii))
-                    edge = own[edge_idx[sel]]
-                    block = np.empty((K, size))
-                    block[:, 0] = INF
-                    block[:, 1] = own[gi]
-                    if size > 2:
-                        seg = buf[:, 1 : size - 1]
-                        e = edge[:, None]
-                        block[:, 2:] = (
-                            np.maximum(seg, e) if maximum else seg + e
-                        )
-                    sp = _const_split(
-                        "rl" if right_leaf else "lr", size
-                    )
-                    for k, i in enumerate(gi.tolist()):
-                        new_tables[i] = block[k]
-                        by_index[i] = _NOEntry(table=block[k], split=sp)
-
-            both_int = ~(lleaf | rleaf)
-            if both_int.any():
-                g = idx_h[both_int]
-                gl = li[both_int]
-                gr = ri[both_int]
-                key = tlen[gl] * (2 * budget + 4) + tlen[gr]
-                for u in np.unique(key).tolist():
-                    sel = key == u
-                    gi = g[sel]
-                    m = int(u // (2 * budget + 4))
-                    nn = int(u % (2 * budget + 4))
-                    size = min(budget, m + nn - 2) + 1
-                    K = gi.size
-                    bl = np.empty((K, m - 1))
-                    br = np.empty((K, nn - 1))
-                    for k, ii in enumerate(gl[sel].tolist()):
-                        bl[k] = _table(int(ii))[1:]
-                    for k, ii in enumerate(gr[sel].tolist()):
-                        br[k] = _table(int(ii))[1:]
-                    block = np.empty((K, size))
-                    block[:, 0] = INF
-                    block[:, 1] = own[gi]
-                    if size > 2:
-                        vals, choice = _positive_merge_batch(
-                            bl, br, size - 2, maximum, want_choice=True
-                        )
-                        block[:, 2:] = vals
-                    spblock = np.empty((K, size), dtype=np.int32)
-                    spblock[:, 0] = -1
-                    spblock[:, 1] = -1
-                    if size > 2:
-                        spblock[:, 2:] = choice
-                    for k, i in enumerate(gi.tolist()):
-                        new_tables[i] = block[k]
-                        by_index[i] = _NOEntry(
-                            table=block[k], split=spblock[k]
-                        )
-
-    @staticmethod
-    def _leaf_table(ctx: DPContext, p: PNode) -> np.ndarray:
-        table = np.full(2, INF)
-        table[1] = ctx.grperr_own(p)
-        return table
-
-    def _sweep_restructured(self, root: PNode, ctx: DPContext, budget: int):
-        """Fallback when the pruned support set changed (or there is no
-        previous memo): walk the new tree, splicing any subtree whose
-        content fingerprint the old memo knows and merging the rest."""
-        from .nonoverlapping import (
-            _merge_node_fast,
-            _merge_node_naive,
-            _shared_split_cache,
-        )
-
-        hierarchy = self._hierarchy
-        fps = subtree_fingerprints(hierarchy)
-        old = self._old
-        fpmap = old.fp_map() if old is not None else {}
-        by_index: List[Optional[_NOEntry]] = [None] * len(hierarchy.nodes)
-        batched = ctx.batched
-        maximum = ctx.metric.combine == "max"
-        own = ctx.own_errors() if batched else None
-        const_split = _shared_split_cache()
-        tables: Dict[int, np.ndarray] = {}
-        stack = [(root, False)]
-        while stack:
-            p, expanded = stack.pop()
-            if not expanded:
-                if p.is_leaf:
-                    if not batched:
-                        tables[p.index] = self._leaf_table(ctx, p)
-                    continue
-                oi = fpmap.get(fps[p.index], -1) if fpmap else -1
-                if oi >= 0:
-                    self._splice(p, oi, tables, by_index)
-                    continue
-                stack.append((p, True))
-                stack.append((p.right, False))
-                stack.append((p.left, False))
-                continue
-            left, right = p.left, p.right
-            if batched:
-                lt = tables.pop(left.index) if not left.is_leaf else None
-                rt = tables.pop(right.index) if not right.is_leaf else None
-                table, split = _merge_node_fast(
-                    own[p.index], lt, rt,
-                    own[left.index], own[right.index],
-                    budget, maximum, True, const_split,
-                )
-            else:
-                table, split = _merge_node_naive(
-                    ctx, p,
-                    tables.pop(left.index), tables.pop(right.index),
-                    budget,
-                )
-            tables[p.index] = table
-            by_index[p.index] = _NOEntry(table=table, split=split)
-            self.solved += 1
-        self._result = NonoverlappingMemo(
-            config=self._config,
-            counts=hierarchy.counts.copy(),
-            structure_sig=self._sig,
-            arrays=_tree_arrays(hierarchy),
-            fps=fps,
-            by_index=by_index,
-            own=own,
-        )
-        return tables[root.index], _LazySplits(by_index)
-
-    def _splice(
-        self,
-        p: PNode,
-        old_index: int,
-        tables: Dict[int, np.ndarray],
-        by_index: List[Optional[_NOEntry]],
-    ) -> None:
-        """Install a clean subtree's memoized entries without re-running
-        any merge.  Equal fingerprints imply equal pruned shape, so the
-        new subtree and the old one walk in lockstep; only the subtree
-        *root's* table is published (parents consume nothing deeper),
-        while entries land at every internal descendant so the
-        reconstruction walk finds its splits."""
-        old = self._old
-        oar = old.arrays
-        obi = old.by_index
-        tables[p.index] = obi[old_index].table
-        stack = [(p, old_index)]
-        while stack:
-            q, oj = stack.pop()
-            by_index[q.index] = obi[oj]
-            self.reused += 1
-            lo, ro = int(oar.left[oj]), int(oar.right[oj])
-            if oar.left[lo] >= 0:
-                stack.append((q.left, lo))
-            if oar.left[ro] >= 0:
-                stack.append((q.right, ro))
+        root = n - 1
+        if a.left[root] < 0:
+            return _leaf_table(ctx, root), splits
+        return tables[root], splits
 
     # -- lifecycle ---------------------------------------------------------
     def finish(self) -> NonoverlappingMemo:
@@ -978,9 +404,9 @@ class OverlappingMemo:
     ``config``, so a memo is only ever consulted by its own mode."""
 
     config: Tuple
+    table: bytes
     counts: np.ndarray
     structure_sig: bytes
-    arrays: _TreeArrays
     entries: Optional[List[Optional[_OVNodeEntry]]] = None
     arena: Optional[_OVArena] = None
 
@@ -1009,10 +435,12 @@ class OverlappingSession:
         config: Tuple,
         old: Optional[OverlappingMemo],
     ) -> None:
-        if old is not None and old.config != config:
+        table = hierarchy.table.fingerprint()
+        if old is not None and (old.config != config or old.table != table):
             old = None
         counts = hierarchy.counts
         self._config = config
+        self._table = table
         self._sig = _structure_signature(counts)
         #: Whether this session records naive-mode entries instead of
         #: the batched arena (index 3 of the config key is the kernel
@@ -1028,15 +456,13 @@ class OverlappingSession:
             and (old.entries is not None) == self.naive
             and (self.naive or old.arena is not None)
         ):
-            self._arrays = old.arrays
-            _install_caches(hierarchy, old.arrays, counts)
             #: Per-node dirty flags; the DP also folds these into its
             #: running dirty-ancestor counts.
-            self.dirty = _dirty_vector(old.arrays, old.counts, counts)
+            self.dirty = _changed_below(hierarchy.arrays, old.counts, counts)
         else:
-            self._arrays = _tree_arrays(hierarchy)
-            self.dirty = np.ones(len(hierarchy.nodes), dtype=bool)
+            self.dirty = np.ones(len(hierarchy), dtype=bool)
             old = None
+        self._arrays = hierarchy.arrays
         #: Whether the old memo survived with an identical pruned
         #: support set — the precondition for the skip-clean fast path.
         self.same_structure = old is not None
@@ -1046,7 +472,7 @@ class OverlappingSession:
             old.arena if old is not None and not self.naive else None
         )
         self._entries: Optional[List[Optional[_OVNodeEntry]]] = (
-            [None] * len(hierarchy.nodes) if self.naive else None
+            [None] * len(hierarchy) if self.naive else None
         )
         self.solved = 0  # internal bucket-case merges re-run
         self.reused = 0  # internal nodes reusing their memo entry
@@ -1054,7 +480,7 @@ class OverlappingSession:
         self.rows_reused = 0
 
     @property
-    def arrays(self) -> _TreeArrays:
+    def arrays(self) -> HierarchyArrays:
         return self._arrays
 
     # -- arena protocol (batched modes) ------------------------------------
@@ -1171,9 +597,9 @@ class OverlappingSession:
     def finish(self) -> OverlappingMemo:
         return OverlappingMemo(
             config=self._config,
+            table=self._table,
             counts=self._counts.copy(),
             structure_sig=self._sig,
-            arrays=self._arrays,
             entries=self._entries,
             arena=self.arena,
         )

@@ -60,10 +60,10 @@ def build_lpm_kholes(
         raise ValueError(f"budget must be at least 1, got {budget}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if len(hierarchy.nodes) > MAX_NODES:
+    if len(hierarchy) > MAX_NODES:
         raise ValueError(
             f"k-holes exact search limited to {MAX_NODES} pruned nodes "
-            f"(got {len(hierarchy.nodes)}); use the greedy or quantized "
+            f"(got {len(hierarchy)}); use the greedy or quantized "
             "heuristics at scale"
         )
     ctx = DPContext(hierarchy, metric)
@@ -71,7 +71,7 @@ def build_lpm_kholes(
     root = hierarchy.root
     with span(
         "lpm_kholes.search", budget=budget, k=k,
-        nodes=len(hierarchy.nodes),
+        nodes=len(hierarchy),
     ) as sp:
         table = solver.bucket_table(root)
         sp.annotate(antichains=solver.antichains_examined)

@@ -19,20 +19,16 @@ search space and the result is optimal over the full virtual hierarchy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, MutableMapping, Optional
 
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import HierarchyArrays, PrunedHierarchy, phase_slices
 from ..core.partition import Bucket, NonoverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .kernels import (
-    _positive_merge,
-    _positive_merge_batch,
-    knapsack_merge,
-)
+from .kernels import _positive_merge_batch, knapsack_merge
 
 __all__ = ["build_nonoverlapping"]
 
@@ -56,17 +52,17 @@ def build_nonoverlapping(
         Maximum number of histogram buckets ``b``.
     low_memory:
         Apply the paper's Section 4.4 space optimization (after Guha):
-        keep no per-node choice tables at all — only the O(b x depth)
-        error tables live during the sweep — and reconstruct bucket
-        sets by re-running the DP recursively on the two subtrees of
-        each chosen split.  Same optimum; reconstruction costs an extra
+        keep no per-node choice tables at all — child error tables are
+        dropped as soon as their parent consumes them — and reconstruct
+        bucket sets by re-running the DP on the two subtrees of each
+        chosen split.  Same optimum; reconstruction costs an extra
         O(depth) factor, which is why it is opt-in.
     memo:
         A :class:`~repro.algorithms.incremental.NonoverlappingSession`
         for subtree-memoized rebuilds; its sweep replaces the full one
-        (splicing clean-subtree tables, re-merging only dirty nodes)
+        (reusing clean-subtree tables, re-merging only dirty nodes)
         and is bit-identical to it.  Incompatible with ``low_memory``,
-        which keeps none of the arrays the memo splices.
+        which keeps none of the arrays the memo reuses.
 
     Returns
     -------
@@ -80,15 +76,16 @@ def build_nonoverlapping(
         raise ValueError("incremental rebuilds require split tables; "
                          "low_memory drops them")
     ctx = DPContext(hierarchy, metric)
+    root = len(hierarchy) - 1
     with span(
         "dp.nonoverlapping.sweep", budget=budget,
-        nodes=len(hierarchy.nodes), low_memory=low_memory,
+        nodes=len(hierarchy), low_memory=low_memory,
     ) as sp:
         if memo is not None:
-            root_table, splits = memo.sweep(hierarchy.root, ctx, budget)
+            root_table, splits = memo.sweep(ctx, budget)
         else:
             root_table, splits = _sweep(
-                hierarchy.root, ctx, budget, keep_splits=not low_memory
+                ctx, root, budget, keep_splits=not low_memory
             )
         sp.annotate(root_entries=int(len(root_table)) - 1)
     curve = np.full(budget + 1, INF)
@@ -106,9 +103,9 @@ def build_nonoverlapping(
         bucket_nodes: List[int] = []
         with span("dp.nonoverlapping.collect", budget=b) as sp:
             if low_memory:
-                _collect_multipass(hierarchy.root, b, ctx, bucket_nodes)
+                _collect_multipass(ctx, root, b, bucket_nodes)
             else:
-                _collect(hierarchy.root, b, splits, bucket_nodes)
+                _collect(hierarchy.arrays, root, b, splits, bucket_nodes)
             sp.annotate(buckets=len(bucket_nodes))
         return NonoverlappingPartitioning(
             hierarchy.domain, [Bucket(v) for v in bucket_nodes]
@@ -118,51 +115,37 @@ def build_nonoverlapping(
         make_function=make_function,
         curve=curve,
         budget=budget,
-        stats={"nodes": float(len(hierarchy.nodes))},
+        stats={"nodes": float(len(hierarchy))},
     )
 
 
-def _sweep(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
-    """One bottom-up DP pass over ``root``'s subtree.
+def _leaf_table(ctx: DPContext, i: int) -> np.ndarray:
+    """A leaf's table: one bucket at the leaf (0 for exact / empty
+    leaves), zero buckets infeasible."""
+    table = np.full(2, INF)
+    table[1] = ctx.grperr_own(i)
+    return table
+
+
+def _sweep(ctx: DPContext, top: int, budget: int, keep_splits: bool):
+    """One bottom-up DP pass over the subtree of node ``top``.
 
     Child error tables are freed as soon as their parent consumes them,
-    so at most O(depth) tables are live.  Split choices are retained
-    only when ``keep_splits`` — dropping them is the Section 4.4 mode.
+    so only the tables still waiting for a parent are live.  Split
+    choices are retained only when ``keep_splits`` — dropping them is
+    the Section 4.4 mode.
     """
-    if ctx.batched:
-        return _sweep_fast(root, ctx, budget, keep_splits)
-    tables = {}
-    splits: dict = {}
-    stack = [(root, False)]
-    while stack:
-        p, expanded = stack.pop()
-        if not expanded and not p.is_leaf:
-            stack.append((p, True))
-            stack.append((p.right, False))
-            stack.append((p.left, False))
-            continue
-        if p.is_leaf:
-            table = np.full(2, INF)
-            table[1] = ctx.grperr_own(p)  # 0 for exact / empty leaves
-            tables[p.index] = table
-            continue
-        left, right = tables.pop(p.left.index), tables.pop(p.right.index)
-        table, split = _merge_node_naive(ctx, p, left, right, budget)
-        tables[p.index] = table
-        if keep_splits:
-            splits[p.index] = split
-    return tables[root.index], splits
-
-
-def _merge_node_naive(ctx: DPContext, p: PNode, left, right, budget: int):
-    """One naive-mode internal-node step: knapsack merge of the child
-    tables plus the own-bucket overlay at ``B == 1``."""
-    table, split = knapsack_merge(left, right, budget, ctx.metric.combine)
-    one_bucket = ctx.grperr_own(p)
-    if one_bucket < table[1]:
-        table[1] = one_bucket
-        split[1] = -1  # sentinel: this node is the bucket
-    return table, split
+    a = ctx.hierarchy.arrays
+    if a.left[top] < 0:
+        return _leaf_table(ctx, top), {}
+    order = a.order
+    if top < a.left.size - 1:  # a proper subtree: its internal nodes
+        first = top - int(a.size[top]) + 1
+        order = order[(order >= first) & (order <= top)]
+    tables: Dict[int, np.ndarray] = {}
+    splits: Optional[Dict[int, np.ndarray]] = {} if keep_splits else None
+    merge_nodes(ctx, budget, order, tables, splits, release=True)
+    return tables[top], splits
 
 
 def _shared_split_cache():
@@ -188,208 +171,109 @@ def _shared_split_cache():
     return _const_split
 
 
-def _merge_node_fast(
-    own_p: float,
-    left_tab: Optional[np.ndarray],
-    right_tab: Optional[np.ndarray],
-    own_left: float,
-    own_right: float,
+def merge_nodes(
+    ctx: DPContext,
     budget: int,
-    maximum: bool,
-    keep_splits: bool,
-    const_split,
-):
-    """One fast-mode internal-node step, bit-identical to the naive
-    merge.  Leaf children pass ``None`` tables (their virtual tables
-    are ``[inf, own]``); ``const_split`` is a
-    :func:`_shared_split_cache` closure for the closed-form cases."""
-    if left_tab is None and right_tab is None:
-        size = min(budget, 2) + 1
-        table = np.empty(size)
-        table[0] = INF
-        table[1] = own_p
-        if size == 3:
-            table[2] = (
-                max(own_left, own_right) if maximum
-                else own_left + own_right
-            )
-        split = const_split("lr", size) if keep_splits else None
-        return table, split
-    if left_tab is None or right_tab is None:
-        right_leaf = right_tab is None
-        if right_leaf:
-            inner, edge = left_tab, own_right
-        else:
-            inner, edge = right_tab, own_left
-        size = min(budget, len(inner)) + 1
-        table = np.empty(size)
-        table[0] = INF
-        table[1] = own_p
-        seg = inner[1 : size - 1]
-        table[2:] = np.maximum(seg, edge) if maximum else seg + edge
-        split = (
-            const_split("rl" if right_leaf else "lr", size)
-            if keep_splits else None
-        )
-        return table, split
-    size = min(budget, len(left_tab) + len(right_tab) - 2) + 1
-    table = np.empty(size)
-    table[0] = INF
-    table[1] = own_p
-    if size > 2:
-        vals, choice = _positive_merge(
-            left_tab[1:], right_tab[1:], size - 2, maximum,
-            want_choice=keep_splits,
-        )
-        table[2:] = vals
-    split = None
-    if keep_splits:
-        split = np.empty(size, dtype=np.int32)
-        split[0] = -1
-        split[1] = -1
-        if size > 2:
-            split[2:] = choice
-    return table, split
+    targets: np.ndarray,
+    tables: MutableMapping,
+    splits: Optional[MutableMapping],
+    release: bool,
+) -> None:
+    """Run the DP merge of every internal node in ``targets``.
 
+    ``targets`` must be sorted by phase (subtree height), so each
+    node's children are merged before it.  A child that is not a
+    target must be a leaf (its table is virtual) or already hold its
+    table in ``tables``: a full sweep merges every internal node, an
+    incremental one passes only the dirty nodes and pre-fills the
+    clean ones from its memo.  Each merged node's table lands in
+    ``tables`` and its split choices in ``splits`` (unless ``splits``
+    is ``None``); with ``release``, consumed child tables are dropped.
 
-def _sweep_fast(root: PNode, ctx: DPContext, budget: int, keep_splits: bool):
-    """Batched-mode sweep producing the same tables bit for bit.
-
-    Nonoverlapping tables have a fixed shape the fast path exploits:
-    entry 0 is ``inf`` (zero buckets are infeasible), entry 1 is the
-    node's own-bucket error, and every deeper in-range entry is finite.
-    Leaf tables therefore never materialize — parents read the
-    precomputed own-error array directly — a leaf-child merge is one
-    shifted vector combine, and internal merges convolve only the
-    finite table tails (:func:`~repro.algorithms.kernels._positive_merge`).
-    Entries and recorded splits match the naive sweep exactly: the
-    dropped candidates are all infinite and the surviving ones combine
-    identical scalars in the identical order.
+    The naive kernel mode runs the reference per-node merge; the
+    batched modes run :func:`_merge_batched`, bit-identical to it.
     """
-    own = ctx.own_errors()
-    maximum = ctx.metric.combine == "max"
-    if root.is_leaf:
-        table = np.full(2, INF)
-        table[1] = own[root.index]
-        return table, {}
-    if root is ctx.hierarchy.root:
-        # Full-tree sweeps take the phase-batched path: same-shape
-        # merges across the whole level collapse into stacked kernels.
-        return _sweep_fast_batched(ctx, budget, keep_splits)
-    tables: Dict[int, np.ndarray] = {}
-    splits: Dict[int, np.ndarray] = {}
-    # Subtree re-sweep (low-memory reconstruction): generate the
-    # subtree's postorder by reversing a node/right/left preorder.
-    order = []
-    stack = [root]
-    while stack:
-        p = stack.pop()
-        if not p.is_leaf:
-            order.append(p)
-            stack.append(p.left)
-            stack.append(p.right)
-    order.reverse()
-    const_split = _shared_split_cache()
-    for p in order:
-        node_left = p.left
-        if node_left is None:  # leaf: tables are virtual (own errors)
-            continue
-        node_right = p.right
-        lt = (
-            tables.pop(node_left.index)
-            if node_left.left is not None else None
-        )
-        rt = (
-            tables.pop(node_right.index)
-            if node_right.left is not None else None
-        )
-        table, split = _merge_node_fast(
-            own[p.index], lt, rt,
-            own[node_left.index], own[node_right.index],
-            budget, maximum, keep_splits, const_split,
-        )
-        tables[p.index] = table
-        if keep_splits:
-            splits[p.index] = split
-    return tables[root.index], splits
+    if ctx.batched:
+        _merge_batched(ctx, budget, targets, tables, splits, release)
+        return
+    a = ctx.hierarchy.arrays
+    left, right = a.left, a.right
+    for i in targets.tolist():
+        li, ri = int(left[i]), int(right[i])
+        lt = _leaf_table(ctx, li) if left[li] < 0 else tables[li]
+        rt = _leaf_table(ctx, ri) if left[ri] < 0 else tables[ri]
+        if release:
+            tables[li] = tables[ri] = None
+        table, split = knapsack_merge(lt, rt, budget, ctx.metric.combine)
+        one_bucket = ctx.grperr_own(i)
+        if one_bucket < table[1]:
+            table[1] = one_bucket
+            split[1] = -1  # sentinel: this node is the bucket
+        tables[i] = table
+        if splits is not None:
+            splits[i] = split
 
 
-def _structure_arrays(ctx: DPContext):
-    """Postorder structure arrays, cached on the hierarchy.
+def _merge_batched(
+    ctx: DPContext,
+    budget: int,
+    targets: np.ndarray,
+    tables: MutableMapping,
+    splits: Optional[MutableMapping],
+    release: bool,
+) -> None:
+    """Phase-batched merges (tables identical to the naive merge).
 
-    ``phase[i]`` is the subtree height of node ``i`` (0 for leaves), so
-    processing phases in ascending order is a valid bottom-up schedule
-    in which every node's children belong to strictly earlier phases;
-    ``left_idx``/``right_idx`` are child postorder indices (-1 at
-    leaves).  Pure structure — shared by every metric/budget/mode.
-    """
-    hierarchy = ctx.hierarchy
-    cached = getattr(hierarchy, "_dp_structure", None)
-    if cached is None:
-        nodes = hierarchy.nodes
-        n = len(nodes)
-        left_idx = np.full(n, -1, dtype=np.int64)
-        right_idx = np.full(n, -1, dtype=np.int64)
-        phase = np.zeros(n, dtype=np.int64)
-        ph_list = [0] * n
-        for p in nodes:
-            node_left = p.left
-            if node_left is None:
-                continue
-            i = p.index
-            li, ri = node_left.index, p.right.index
-            left_idx[i] = li
-            right_idx[i] = ri
-            pl, pr = ph_list[li], ph_list[ri]
-            ph_list[i] = (pl if pl >= pr else pr) + 1
-        phase[:] = ph_list
-        cached = (phase, left_idx, right_idx)
-        hierarchy._dp_structure = cached
-    return cached
-
-
-def _sweep_fast_batched(ctx: DPContext, budget: int, keep_splits: bool):
-    """Phase-batched full-tree sweep (tables identical to `_sweep`).
-
-    Nodes are processed level by level (by subtree height) and, within
-    a level, grouped by the shapes of their children's tables.  Each
-    group becomes one stacked operation: leaf-leaf parents are a pure
-    gather/combine over the own-error array, one-leaf merges are a
+    Nonoverlapping tables have a fixed shape this exploits: entry 0 is
+    ``inf`` (zero buckets are infeasible), entry 1 is the node's
+    own-bucket error, and every deeper in-range entry is finite.  Leaf
+    tables therefore never materialize — parents read the precomputed
+    own-error array directly.  Targets are processed phase by phase
+    and, within a phase, grouped by the shapes of their children's
+    tables; each group is one stacked operation: leaf-leaf parents are
+    a pure gather/combine over the own-error array, one-leaf merges a
     single broadcast combine over stacked inner tables, and
     internal-internal merges run through
-    :func:`~repro.algorithms.kernels._positive_merge_batch`.  Every row
-    of every batch performs exactly the per-node fast path's
-    operations, which in turn match the naive sweep bit for bit; split
-    arrays for the closed-form cases are shared constants (their
-    contents don't depend on the node).
+    :func:`~repro.algorithms.kernels._positive_merge_batch` over the
+    finite table tails.  Every row performs exactly the naive merge's
+    surviving operations in the same order (the dropped candidates are
+    all infinite), so entries and recorded splits match it bit for
+    bit; split arrays for the closed-form cases are shared constants
+    (their contents don't depend on the node).
     """
     own = ctx.own_errors()
     maximum = ctx.metric.combine == "max"
-    phase, left_idx, right_idx = _structure_arrays(ctx)
-    n = len(phase)
+    a = ctx.hierarchy.arrays
+    left_idx, right_idx = a.left, a.right
     leaf_mask = left_idx < 0
-    tables: List[Optional[np.ndarray]] = [None] * n
-    splits: Dict[int, np.ndarray] = {}
-    # Table lengths evolve bottom-up by the same formula the per-node
-    # sweep applies; leaves count as (virtual) 2-entry tables.
+    keep_splits = splits is not None
+    # Table lengths: leaves count as (virtual) 2-entry tables, targets
+    # get theirs phase by phase below, and any other internal child is
+    # already in ``tables``.
     tlen = np.where(leaf_mask, 2, 0)
-    internal = np.nonzero(~leaf_mask)[0]
-    order = internal[np.argsort(phase[internal], kind="stable")]
-    ph_sorted = phase[order]
-    # Shared constant split arrays, one per (case, size).
+    children = np.concatenate((left_idx[targets], right_idx[targets]))
+    is_target = np.zeros(leaf_mask.size, dtype=bool)
+    is_target[targets] = True
+    for c in children[~leaf_mask[children] & ~is_target[children]].tolist():
+        tlen[c] = len(tables[c])
     _const_split = _shared_split_cache()
 
-    pos = 0
-    total = order.size
-    while pos < total:
-        h = ph_sorted[pos]
-        end = pos + np.searchsorted(ph_sorted[pos:], h, side="right")
-        idx_h = order[pos:end]
-        pos = end
+    def _take(ci: int) -> np.ndarray:
+        t = tables[ci]
+        if release:
+            tables[ci] = None
+        return t
+
+    def _store(nodes: np.ndarray, block: np.ndarray, split) -> None:
+        for k, i in enumerate(nodes.tolist()):
+            tables[i] = block[k]
+            if keep_splits:
+                splits[i] = split if split.ndim == 1 else split[k]
+
+    for idx_h in phase_slices(targets, a.phase[targets]):
         li = left_idx[idx_h]
         ri = right_idx[idx_h]
-        sizes = np.minimum(budget, tlen[li] + tlen[ri] - 2) + 1
-        tlen[idx_h] = sizes
+        tlen[idx_h] = np.minimum(budget, tlen[li] + tlen[ri] - 2) + 1
         lleaf = leaf_mask[li]
         rleaf = leaf_mask[ri]
 
@@ -405,53 +289,36 @@ def _sweep_fast_batched(ctx: DPContext, budget: int, keep_splits: bool):
                 lv = own[li[both]]
                 rv = own[ri[both]]
                 block[:, 2] = np.maximum(lv, rv) if maximum else lv + rv
-            sp = _const_split("lr", size) if keep_splits else None
-            for k, i in enumerate(g.tolist()):
-                tables[i] = block[k]
-                if keep_splits:
-                    splits[i] = sp
+            _store(g, block, _const_split("lr", size))
 
         # One-leaf merges, grouped by inner-table length and side.
         one = lleaf ^ rleaf
         if one.any():
             g = idx_h[one]
-            gl = li[one]
-            gr = ri[one]
             r_is_leaf = rleaf[one]
-            inner_idx = np.where(r_is_leaf, gl, gr)
-            edge_idx = np.where(r_is_leaf, gr, gl)
+            inner_idx = np.where(r_is_leaf, li[one], ri[one])
+            edge_idx = np.where(r_is_leaf, ri[one], li[one])
             key = tlen[inner_idx] * 2 + r_is_leaf
             for u in np.unique(key).tolist():
                 sel = key == u
                 gi = g[sel]
-                ginner = inner_idx[sel]
                 inner_len = int(u // 2)
                 right_leaf = bool(u & 1)
                 size = min(budget, inner_len) + 1
-                K = gi.size
-                buf = np.empty((K, inner_len))
-                for k, ii in enumerate(ginner.tolist()):
-                    buf[k] = tables[ii]
-                    tables[ii] = None
+                buf = np.empty((gi.size, inner_len))
+                for k, ii in enumerate(inner_idx[sel].tolist()):
+                    buf[k] = _take(ii)
                 edge = own[edge_idx[sel]]
-                block = np.empty((K, size))
+                block = np.empty((gi.size, size))
                 block[:, 0] = INF
                 block[:, 1] = own[gi]
                 if size > 2:
                     seg = buf[:, 1 : size - 1]
                     e = edge[:, None]
-                    block[:, 2:] = (
-                        np.maximum(seg, e) if maximum else seg + e
-                    )
-                sp = (
-                    _const_split("rl" if right_leaf else "lr", size)
-                    if keep_splits
-                    else None
+                    block[:, 2:] = np.maximum(seg, e) if maximum else seg + e
+                _store(
+                    gi, block, _const_split("rl" if right_leaf else "lr", size)
                 )
-                for k, i in enumerate(gi.tolist()):
-                    tables[i] = block[k]
-                    if keep_splits:
-                        splits[i] = sp
 
         # Internal-internal merges, grouped by child-table shapes.
         both_int = ~(lleaf | rleaf)
@@ -470,35 +337,30 @@ def _sweep_fast_batched(ctx: DPContext, budget: int, keep_splits: bool):
                 bl = np.empty((K, m - 1))
                 br = np.empty((K, nn - 1))
                 for k, ii in enumerate(gl[sel].tolist()):
-                    bl[k] = tables[ii][1:]
-                    tables[ii] = None
+                    bl[k] = _take(ii)[1:]
                 for k, ii in enumerate(gr[sel].tolist()):
-                    br[k] = tables[ii][1:]
-                    tables[ii] = None
+                    br[k] = _take(ii)[1:]
                 block = np.empty((K, size))
                 block[:, 0] = INF
                 block[:, 1] = own[gi]
+                choice = None
                 if size > 2:
                     vals, choice = _positive_merge_batch(
                         bl, br, size - 2, maximum, want_choice=keep_splits
                     )
                     block[:, 2:] = vals
+                spblock = None
                 if keep_splits:
                     spblock = np.empty((K, size), dtype=np.int32)
                     spblock[:, 0] = -1
                     spblock[:, 1] = -1
                     if size > 2:
                         spblock[:, 2:] = choice
-                for k, i in enumerate(gi.tolist()):
-                    tables[i] = block[k]
-                    if keep_splits:
-                        splits[i] = spblock[k]
-    root_index = ctx.hierarchy.root.index
-    return tables[root_index], splits
+                _store(gi, block, spblock)
 
 
 def _collect_multipass(
-    p: PNode, b: int, ctx: DPContext, out: List[int]
+    ctx: DPContext, top: int, b: int, out: List[int]
 ) -> None:
     """Section 4.4 reconstruction: re-derive the split at each node by
     re-running the DP on its two subtrees, then recurse.
@@ -510,46 +372,49 @@ def _collect_multipass(
     splits are identical while the low-memory reconstruction stops
     filling table columns no caller can reference.
     """
-    stack = [(p, b)]
+    a = ctx.hierarchy.arrays
+    stack = [(top, b)]
     while stack:
-        p, b = stack.pop()
-        if p.is_leaf or b == 1:
-            out.append(p.node)
+        i, b = stack.pop()
+        li, ri = int(a.left[i]), int(a.right[i])
+        if li < 0 or b == 1:
+            out.append(int(a.node_id[i]))
             continue
-        left_table, _ = _sweep(p.left, ctx, b, keep_splits=False)
-        right_table, _ = _sweep(p.right, ctx, b, keep_splits=False)
+        left_table, _ = _sweep(ctx, li, b, keep_splits=False)
+        right_table, _ = _sweep(ctx, ri, b, keep_splits=False)
         merged, split = knapsack_merge(
             left_table, right_table, b, ctx.metric.combine
         )
         b = min(b, len(merged) - 1)
         if b == 1:  # only the single-bucket option remains
-            out.append(p.node)
+            out.append(int(a.node_id[i]))
             continue
         c = int(split[b])
-        stack.append((p.left, c))
-        stack.append((p.right, b - c))
+        stack.append((li, c))
+        stack.append((ri, b - c))
 
 
 def _collect(
-    p: PNode,
+    a: HierarchyArrays,
+    top: int,
     b: int,
-    splits: Dict[int, np.ndarray],
+    splits,
     out: List[int],
 ) -> None:
-    """Walk the recorded split choices to materialize the cut for
-    budget ``b``."""
-    stack = [(p, b)]
+    """Walk the recorded split choices (``splits[i]`` for internal node
+    ``i``) to materialize the cut for budget ``b``."""
+    stack = [(top, b)]
     while stack:
-        p, b = stack.pop()
-        if p.is_leaf or b == 1:
-            out.append(p.node)
+        i, b = stack.pop()
+        li = int(a.left[i])
+        if li < 0 or b == 1:
+            out.append(int(a.node_id[i]))
             continue
-        split = splits[p.index]
+        split = splits[i]
         b = min(b, len(split) - 1)
         c = int(split[b])
         if c == -1:  # single-bucket choice recorded at B == 1 only
-            out.append(p.node)
+            out.append(int(a.node_id[i]))
             continue
-        stack.append((p.left, c))
-        stack.append((p.right, b - c))
-    return None
+        stack.append((li, c))
+        stack.append((int(a.right[i]), b - c))

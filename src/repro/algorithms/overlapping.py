@@ -33,11 +33,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.errors import PenaltyMetric
-from ..core.hierarchy import PNode, PrunedHierarchy
+from ..core.hierarchy import PNode, PrunedHierarchy, _ranges, phase_slices
 from ..core.partition import Bucket, OverlappingPartitioning
 from ..obs import span
 from .base import INF, ConstructionResult, DPContext
-from .incremental import _OVNodeEntry, _phase_slices, _ranges
+from .incremental import _OVNodeEntry
 from .kernels import knapsack_merge, knapsack_merge_batch
 
 __all__ = ["build_overlapping", "OverlappingDP"]
@@ -139,7 +139,7 @@ class OverlappingDP:
         # producing bit-identical arrays to a full solve.
         self._inc = memo
         self.ctx = DPContext(hierarchy, metric)
-        n_nodes = len(hierarchy.nodes)
+        n_nodes = len(hierarchy)
         inc_batched = memo is not None and self.ctx.batched
         same_inc = inc_batched and memo.same_structure
         self._caps = self._compute_caps()
@@ -149,7 +149,7 @@ class OverlappingDP:
             self.records = _LazyRecords(memo.arena, memo.arrays.depth)
             self._depths = memo.arrays.depth.copy()
         else:
-            self.records = [_NodeRecord() for _ in hierarchy.nodes]
+            self.records = [_NodeRecord() for _ in range(n_nodes)]
             self._depths = np.zeros(n_nodes, dtype=np.int64)
         # Full tables E[p, ., j] per node, keyed by node index then by
         # ancestor index; entries are freed as soon as the parent has
@@ -187,31 +187,20 @@ class OverlappingDP:
 
     # ------------------------------------------------------------------
     def _compute_caps(self) -> np.ndarray:
-        """Max useful buckets per subtree (tree-knapsack bound)."""
-        hierarchy = self.hierarchy
-        ar = getattr(hierarchy, "_inc_tree_arrays", None)
-        if ar is not None:
-            # Phase-vectorized recurrence — pure integer minimums, so
-            # the result equals the per-node walk exactly.
-            caps = np.ones(len(hierarchy.nodes), dtype=np.int64)
-            base = ar.left < 0
-            if self.sparse:
-                base = base | (ar.n_nonzero <= 1)
-            for idx in _phase_slices(ar.order, ar.order_phase):
-                sel = idx[~base[idx]]
-                caps[sel] = np.minimum(
-                    self.budget,
-                    caps[ar.left[sel]] + caps[ar.right[sel]] + 1,
-                )
-            return caps
-        caps = np.zeros(len(hierarchy.nodes), dtype=np.int64)
-        for p in hierarchy.nodes:  # postorder
-            if p.is_leaf or (self.sparse and p.n_nonzero <= 1):
-                caps[p.index] = 1
-            else:
-                caps[p.index] = min(
-                    self.budget, caps[p.left.index] + caps[p.right.index] + 1
-                )
+        """Max useful buckets per subtree (tree-knapsack bound), one
+        vectorized pass per phase: 1 at base cases (leaves, and sparse
+        collapses when enabled), else ``min(budget, left + right + 1)``."""
+        ar = self.hierarchy.arrays
+        caps = np.ones(len(self.hierarchy), dtype=np.int64)
+        base = ar.left < 0
+        if self.sparse:
+            base = base | (ar.n_nonzero <= 1)
+        for idx in phase_slices(ar.order, ar.order_phase):
+            sel = idx[~base[idx]]
+            caps[sel] = np.minimum(
+                self.budget,
+                caps[ar.left[sel]] + caps[ar.right[sel]] + 1,
+            )
         return caps
 
     def _base_under_masks(self, ar) -> Tuple[np.ndarray, np.ndarray]:
@@ -247,7 +236,7 @@ class OverlappingDP:
             int(np.count_nonzero(tgt)), 0, int(ar.depth[tgt].sum())
         )
         a = inc.arena
-        i = len(self.hierarchy.nodes) - 1  # postorder root
+        i = len(self.hierarchy) - 1  # postorder root
         return a.eb[i, : int(a.size_b[i])]
 
     def _solve_same_structure(self) -> np.ndarray:
@@ -355,7 +344,7 @@ class OverlappingDP:
                 rest = u // span_b
                 yield g[chunk], u % span_b, rest // W1, rest % W1
 
-        for idx0 in _phase_slices(ar.order, ar.order_phase):
+        for idx0 in phase_slices(ar.order, ar.order_phase):
             gd = idx0[dirty_int[idx0]]
             rows_dirty += int(depth[gd].sum())
             for gs, capu, wlu, wru in _groups(gd):
@@ -691,5 +680,5 @@ def build_overlapping(
         make_function=make_function,
         curve=curve,
         budget=budget,
-        stats={"nodes": float(len(hierarchy.nodes))},
+        stats={"nodes": float(len(hierarchy))},
     )

@@ -23,18 +23,28 @@ pruned tree optimizes over the full virtual hierarchy.  Because group
 subtrees never partially overlap hierarchy subtrees, every zero-count
 group falls in exactly one zero node, and empty regions contribute to
 any error metric in O(1) via ``PenaltyMetric.repeated_penalty``.
+
+The hierarchy is built as flat postorder arrays (:class:`HierarchyArrays`)
+in a few vectorized passes, O(height) of them; :class:`PNode` objects
+exist only for the algorithms that walk nodes one by one and are
+created on first access to :attr:`PrunedHierarchy.nodes`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .domain import ROOT, UIDDomain
+from .domain import ROOT
 from .groups import GroupTable
 
-__all__ = ["PNode", "PrunedHierarchy"]
+__all__ = ["PNode", "PrunedHierarchy", "HierarchyArrays", "phase_slices"]
+
+#: Node kinds, indexed by the codes in :attr:`HierarchyArrays.kind`.
+KIND_NAMES = ("group", "zero", "branch")
+GROUP, ZERO, BRANCH = 0, 1, 2
 
 
 class PNode:
@@ -77,17 +87,26 @@ class PNode:
         "index",
     )
 
-    def __init__(self, node: int, kind: str) -> None:
+    def __init__(
+        self,
+        node: int,
+        kind: str,
+        n_groups: int = 0,
+        n_nonzero: int = 0,
+        tuples: float = 0.0,
+        group_index: Optional[int] = None,
+        index: int = -1,
+    ) -> None:
         self.node = node
         self.kind = kind
         self.left: Optional[PNode] = None
         self.right: Optional[PNode] = None
         self.parent: Optional[PNode] = None
-        self.n_groups = 0
-        self.n_nonzero = 0
-        self.tuples = 0.0
-        self.group_index: Optional[int] = None
-        self.index = -1
+        self.n_groups = n_groups
+        self.n_nonzero = n_nonzero
+        self.tuples = tuples
+        self.group_index = group_index
+        self.index = index
 
     @property
     def is_leaf(self) -> bool:
@@ -119,6 +138,85 @@ class PNode:
         )
 
 
+@dataclass(eq=False)
+class HierarchyArrays:
+    """Flat postorder structure of one pruned hierarchy.
+
+    Every array is indexed by postorder position (children precede
+    parents, left subtrees precede right ones, the root is last).
+    ``left``/``right``/``parent`` are postorder indices (-1 where
+    absent); ``size`` is the subtree node count, so node ``i``'s
+    subtree is the contiguous interval ``[i - size[i] + 1, i]``;
+    ``node_id`` is the virtual node, ``kind`` the :data:`KIND_NAMES`
+    code and ``group`` the group leaf's count column (-1 for branch and
+    zero nodes); the groups inside node ``i``'s range are the count
+    columns ``first_group[i] : first_group[i] + n_groups[i]``.
+    ``depth`` counts pruned ancestors, ``phase`` is the subtree height
+    (0 at leaves), and ``order`` lists the internal nodes sorted by
+    phase (``order_phase`` alongside) — a bottom-up schedule in which
+    every node's children sit in strictly earlier phases.  The ``leaf_*`` arrays describe the leaf slots: leaves in
+    postorder are slots ``0, 1, ...``, node ``i``'s leaves are slots
+    ``leaf_lo[i]:leaf_hi[i]``, ``leaf_group`` is each slot's count
+    column (-1 for zero summaries) and ``leaf_weight`` the number of
+    groups it stands for (1 for a group leaf).
+
+    All of it depends only on *which* groups are nonzero, never on the
+    counts themselves, so two windows with the same nonzero support
+    have equal arrays.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    parent: np.ndarray
+    node_id: np.ndarray
+    kind: np.ndarray
+    n_groups: np.ndarray
+    n_nonzero: np.ndarray
+    group: np.ndarray
+    first_group: np.ndarray
+    size: np.ndarray
+    depth: np.ndarray
+    phase: np.ndarray
+    order: np.ndarray
+    order_phase: np.ndarray
+    leaf_lo: np.ndarray
+    leaf_hi: np.ndarray
+    leaf_group: np.ndarray
+    leaf_weight: np.ndarray
+
+
+def phase_slices(order: np.ndarray, order_phase: np.ndarray):
+    """Yield the slice of ``order`` for each phase, ascending — every
+    node's children belong to a strictly earlier slice."""
+    pos = 0
+    total = order.size
+    while pos < total:
+        h = order_phase[pos]
+        end = pos + int(np.searchsorted(order_phase[pos:], h, side="right"))
+        yield order[pos:end]
+        pos = end
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Exact ``int.bit_length`` of nonnegative int64 values: ``frexp``
+    of each 32-bit half, which float64 holds exactly."""
+    high = x >> 32
+    return np.where(
+        high > 0,
+        np.frexp(high)[1] + 32,
+        np.frexp(x & 0xFFFFFFFF)[1],
+    ).astype(np.int64)
+
+
+def _ranges(sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s)`` for each ``s`` in ``sizes``."""
+    total = int(sizes.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
+
+
 class PrunedHierarchy:
     """The induced hierarchy over nonzero groups, with zero summaries.
 
@@ -129,6 +227,19 @@ class PrunedHierarchy:
     counts:
         Per-group counts for the window being summarized, indexed by
         group index (as produced by ``GroupTable.counts_from_uids``).
+
+    Attributes
+    ----------
+    arrays:
+        The postorder structure (:class:`HierarchyArrays`).
+    tuples:
+        Per-node tuple totals in postorder; an internal node's total is
+        its children's totals added left + right.
+    densities:
+        Per-node ``tuples / n_groups`` (the uniform estimate a bucket at
+        the node assigns each of its groups).
+    leaf_actual:
+        Per-leaf-slot counts (0 for zero summaries).
     """
 
     def __init__(self, table: GroupTable, counts: Sequence[float]) -> None:
@@ -144,123 +255,233 @@ class PrunedHierarchy:
         if np.any(counts < 0):
             raise ValueError("group counts must be nonnegative")
         self.counts = counts
-        self.root = self._build()
-        self.nodes: List[PNode] = list(self._postorder(self.root))
-        for i, pnode in enumerate(self.nodes):
-            pnode.index = i
-        self.leaves = [p for p in self.nodes if p.kind == "group"]
+        self._nodes: Optional[List[PNode]] = None
+        self._build()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self) -> PNode:
-        nonzero = np.nonzero(self.counts > 0)[0]
-        if nonzero.size == 0:
+    def _anchor_nodes(self, nz: np.ndarray, nz_prefix: np.ndarray):
+        """Virtual node ids, depths, kinds and group columns of every
+        pruned node, unordered, plus the group ranges of the leaves.
+
+        Group leaves are the nonzero groups.  The forks are the LCAs of
+        adjacent nonzero leaves (sorted by range start, those LCAs are
+        exactly the virtual nodes whose two children both hold nonzero
+        leaves).  Every other pruned node hangs off a path from a
+        nonzero leaf to the root: a virtual ancestor ``p`` becomes a
+        branch when its child off the path (the sibling ``s``) holds
+        groups but no nonzero group, and ``s`` becomes a zero node.
+        Each leaf walks only the part of its root path that its left
+        neighbour did not, so every virtual ancestor is examined once,
+        and the sibling group counts come from one batched
+        ``searchsorted`` over the sibling ranges (``nz_prefix`` counts
+        the nonzero groups among the first ``k``).
+        """
+        table = self.table
+        height = self.domain.height
+        if nz.size == 0:
             # Degenerate window: nothing observed.  A single zero node
             # at the root lets every algorithm return a trivial (and
             # exact) empty histogram.
-            zero = PNode(ROOT, "zero")
-            zero.n_groups = len(self.table)
-            return zero
-        leaf_nodes = [int(self.table.nodes[g]) for g in nonzero]
-        sub = self._build_range(leaf_nodes, list(map(int, nonzero)), 0, len(leaf_nodes))
-        return self._wrap(sub, ROOT)
+            return (
+                np.array([ROOT], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                np.array([ZERO], dtype=np.int8),
+                np.array([-1], dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                np.array([len(table)], dtype=np.int64),
+            )
+        leaf_ids = table.nodes[nz]
+        starts = table.starts[nz]
+        # Group ranges are powers of two, exact in float64.
+        leaf_depth = height + 1 - np.frexp(table.ends[nz] - starts)[1]
+        # LCA of adjacent leaves: the common prefix of their first uids.
+        lca_depth = height - _bit_length(starts[:-1] ^ starts[1:])
+        lca_ids = (np.int64(1) << lca_depth) + (
+            starts[:-1] >> (height - lca_depth)
+        )
+        # Root-path segments: leaf i walks depths [first, leaf depth)
+        # where everything at or above its left LCA is its neighbour's.
+        first = np.concatenate(([0], lca_depth + 1))
+        steps = np.maximum(leaf_depth - first, 0)
+        owner = np.repeat(np.arange(nz.size), steps)
+        d = np.repeat(first, steps) + _ranges(steps)  # parent depth
+        child = leaf_ids[owner] >> (leaf_depth[owner] - d - 1)
+        sib = child ^ 1
+        shift = height - (d + 1)
+        lo = (sib - (np.int64(1) << (d + 1))) << shift
+        g_lo = np.searchsorted(table.starts, lo, side="left")
+        g_hi = np.searchsorted(table.ends, lo + (np.int64(1) << shift),
+                               side="right")
+        keep = (g_hi > g_lo) & (nz_prefix[g_hi] == nz_prefix[g_lo])
+        d = d[keep]
+        ids = np.concatenate((leaf_ids, lca_ids, child[keep] >> 1, sib[keep]))
+        depth = np.concatenate((leaf_depth, lca_depth, d, d + 1))
+        kind = np.full(ids.size, BRANCH, dtype=np.int8)
+        kind[: nz.size] = GROUP
+        kind[ids.size - d.size :] = ZERO
+        group = np.full(ids.size, -1, dtype=np.int64)
+        group[: nz.size] = nz
+        # Leaf group ranges (branches get theirs from their children).
+        first = np.zeros(ids.size, dtype=np.int64)
+        first[: nz.size] = nz
+        first[ids.size - d.size :] = g_lo[keep]
+        n_groups = np.zeros(ids.size, dtype=np.int64)
+        n_groups[: nz.size] = 1
+        n_groups[ids.size - d.size :] = (g_hi - g_lo)[keep]
+        return ids, depth, kind, group, first, n_groups
 
-    def _build_range(
-        self, leaf_nodes: List[int], group_idx: List[int], lo: int, hi: int
-    ) -> PNode:
-        """Build the subtree for the sorted slice ``[lo, hi)`` of nonzero
-        leaves, anchored at their least common ancestor."""
-        if hi - lo == 1:
-            leaf = PNode(leaf_nodes[lo], "group")
-            g = group_idx[lo]
-            leaf.group_index = g
-            leaf.n_groups = 1
-            leaf.n_nonzero = 1
-            leaf.tuples = float(self.counts[g])
-            return leaf
-        anchor = UIDDomain.lca(leaf_nodes[lo], leaf_nodes[hi - 1])
-        # Split the slice at the boundary between the anchor's left and
-        # right child ranges.  Groups are sorted by range start, so a
-        # binary search on the midpoint suffices.
-        lo_uid, hi_uid = self.domain.uid_range(anchor)
-        mid_uid = (lo_uid + hi_uid) // 2
-        split = lo
-        while split < hi and self.table.starts[group_idx[split]] < mid_uid:
-            split += 1
-        if split == lo or split == hi:  # pragma: no cover - defensive
-            raise AssertionError("LCA split produced an empty side")
-        left_sub = self._build_range(leaf_nodes, group_idx, lo, split)
-        right_sub = self._build_range(leaf_nodes, group_idx, split, hi)
-        left_sub = self._wrap(left_sub, UIDDomain.left_child(anchor))
-        right_sub = self._wrap(right_sub, UIDDomain.right_child(anchor))
-        branch = PNode(anchor, "branch")
-        self._attach(branch, left_sub, right_sub)
-        return branch
+    def _build(self) -> None:
+        table = self.table
+        height = self.domain.height
+        counts = self.counts
+        nonzero = counts > 0
+        nz = np.flatnonzero(nonzero)
+        nz_prefix = np.concatenate(([0], np.cumsum(nonzero)))
+        ids, vdepth, kind, group, first_group, n_groups = self._anchor_nodes(
+            nz, nz_prefix
+        )
+        span = np.int64(1) << (height - vdepth)
+        hi = (ids - (np.int64(1) << vdepth) + 1) * span
+        # Postorder: by range end, deeper first among nodes sharing one
+        # (a descendant ends no later than its ancestor, and a subtree
+        # to the left ends no later than anything to its right starts).
+        # Below height 57 both keys fit one int64.
+        if height < 57:
+            perm = np.argsort((hi << 6) | (63 - vdepth))
+        else:
+            perm = np.lexsort((-vdepth, hi))
+        ids, kind, group, hi = ids[perm], kind[perm], group[perm], hi[perm]
+        first_group, n_groups = first_group[perm], n_groups[perm]
+        lo = hi - span[perm]
+        n = ids.size
+        idx = np.arange(n, dtype=np.int64)
+        # A subtree starts right after the last node ending at or
+        # before its range start.
+        size = idx - np.searchsorted(hi, lo, side="right") + 1
+        internal = np.flatnonzero(size > 1)
+        right = np.full(n, -1, dtype=np.int64)
+        left = np.full(n, -1, dtype=np.int64)
+        right[internal] = internal - 1
+        left[internal] = internal - 1 - size[internal - 1]
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[left[internal]] = internal
+        parent[right[internal]] = internal
+        is_group = group >= 0
+        tuples = np.zeros(n)
+        tuples[is_group] = counts[group[is_group]]
+        n_nonzero = is_group.astype(np.int64)
+        # Depth top-down, then phase and the subtree totals bottom-up,
+        # one vectorized pass per level.  Each internal tuple total is
+        # the one addition left + right, so it matches a recursive
+        # build bit for bit.
+        depth = np.zeros(n, dtype=np.int64)
+        levels = []
+        level = np.array([n - 1], dtype=np.int64)
+        while level.size:
+            level = level[left[level] >= 0]
+            levels.append(level)
+            level = np.concatenate((left[level], right[level]))
+            depth[level] = len(levels)
+        phase = np.zeros(n, dtype=np.int64)
+        for level in reversed(levels):
+            li, ri = left[level], right[level]
+            phase[level] = np.maximum(phase[li], phase[ri]) + 1
+            tuples[level] = tuples[li] + tuples[ri]
+            n_groups[level] = n_groups[li] + n_groups[ri]
+            n_nonzero[level] = n_nonzero[li] + n_nonzero[ri]
+            first_group[level] = first_group[li]
+        order = internal[np.argsort(phase[internal], kind="stable")]
+        leaf = size == 1
+        leaf_hi = np.cumsum(leaf)
+        leaf_lo = (leaf_hi - leaf)[idx - size + 1]
+        leaf_group = group[leaf]
+        leaf_weight = np.where(
+            leaf_group >= 0, 1.0, n_groups[leaf].astype(np.float64)
+        )
+        self.arrays = HierarchyArrays(
+            left=left, right=right, parent=parent, node_id=ids,
+            kind=kind, n_groups=n_groups, n_nonzero=n_nonzero,
+            group=group, first_group=first_group, size=size,
+            depth=depth, phase=phase,
+            order=order, order_phase=phase[order],
+            leaf_lo=leaf_lo, leaf_hi=leaf_hi, leaf_group=leaf_group,
+            leaf_weight=leaf_weight,
+        )
+        self.tuples = tuples
+        self.leaf_actual = np.where(
+            leaf_group >= 0, counts[np.maximum(leaf_group, 0)], 0.0
+        )
+        densities = np.zeros(n)
+        np.divide(tuples, n_groups, out=densities, where=n_groups > 0)
+        self.densities = densities
 
-    def _wrap(self, sub: PNode, top: int) -> PNode:
-        """Insert branch/zero nodes for every nonempty all-zero sibling
-        subtree on the virtual path from ``sub.node`` up to ``top``."""
-        cur = sub
-        child = sub.node
-        while child != top:
-            parent = UIDDomain.parent(child)
-            sib = UIDDomain.sibling(child)
-            z = self.table.groups_below(sib)
-            if z > 0:
-                zero = PNode(sib, "zero")
-                zero.n_groups = z
-                branch = PNode(parent, "branch")
-                if sib < child:  # sibling covers the lower range
-                    self._attach(branch, zero, cur)
-                else:
-                    self._attach(branch, cur, zero)
-                cur = branch
-            child = parent
-        return cur
-
-    @staticmethod
-    def _attach(parent: PNode, left: PNode, right: PNode) -> None:
-        parent.left = left
-        parent.right = right
-        left.parent = parent
-        right.parent = parent
-        parent.n_groups = left.n_groups + right.n_groups
-        parent.n_nonzero = left.n_nonzero + right.n_nonzero
-        parent.tuples = left.tuples + right.tuples
-
-    @staticmethod
-    def _postorder(root: PNode) -> Iterator[PNode]:
-        stack: List[tuple] = [(root, False)]
-        while stack:
-            pnode, expanded = stack.pop()
-            if expanded or pnode.is_leaf:
-                yield pnode
-            else:
-                stack.append((pnode, True))
-                if pnode.right is not None:
-                    stack.append((pnode.right, False))
-                if pnode.left is not None:
-                    stack.append((pnode.left, False))
+    def _make_nodes(self) -> List[PNode]:
+        a = self.arrays
+        names = KIND_NAMES
+        nodes = [
+            PNode(
+                node, names[k], g, nnz, t, None if gi < 0 else gi, i
+            )
+            for i, (node, k, g, nnz, t, gi) in enumerate(zip(
+                a.node_id.tolist(), a.kind.tolist(), a.n_groups.tolist(),
+                a.n_nonzero.tolist(), self.tuples.tolist(),
+                a.group.tolist(),
+            ))
+        ]
+        for i, li, ri in zip(
+            a.order.tolist(), a.left[a.order].tolist(),
+            a.right[a.order].tolist(),
+        ):
+            p, lc, rc = nodes[i], nodes[li], nodes[ri]
+            p.left = lc
+            p.right = rc
+            lc.parent = p
+            rc.parent = p
+        return nodes
 
     # ------------------------------------------------------------------
     # Facts
     # ------------------------------------------------------------------
+    @property
+    def nodes(self) -> List[PNode]:
+        """Every pruned node as a :class:`PNode`, in postorder (created
+        on first access; the array-based algorithms never ask)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = self._make_nodes()
+        return nodes
+
+    @property
+    def root(self) -> PNode:
+        return self.nodes[-1]
+
+    @property
+    def leaves(self) -> List[PNode]:
+        """The group leaves, in postorder."""
+        return [p for p in self.nodes if p.kind == "group"]
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return int(self.arrays.node_id.size)
 
     @property
     def num_nonzero_groups(self) -> int:
-        return self.root.n_nonzero
+        return int(self.arrays.n_nonzero[-1])
+
+    @property
+    def num_groups(self) -> int:
+        """Groups below the root — every group of the table."""
+        return int(self.arrays.n_groups[-1])
 
     @property
     def total_tuples(self) -> float:
-        return self.root.tuples
+        return float(self.tuples[-1])
 
     def max_useful_buckets(self) -> int:
         """An upper bound on the number of buckets that can still reduce
         error: one per nonzero group plus one per zero summary."""
-        return sum(1 for p in self.nodes if p.is_leaf)
+        return int(self.arrays.leaf_group.size)
 
     def group_counts_below(self, pnode: PNode) -> np.ndarray:
         """Counts of every group (including zeros) below ``pnode``, in
@@ -271,7 +492,7 @@ class PrunedHierarchy:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PrunedHierarchy({len(self.nodes)} nodes, "
+            f"PrunedHierarchy({len(self)} nodes, "
             f"{self.num_nonzero_groups} nonzero groups, "
-            f"{self.root.n_groups} total groups)"
+            f"{self.num_groups} total groups)"
         )

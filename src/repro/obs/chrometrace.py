@@ -191,7 +191,7 @@ def chrome_trace(events: Sequence[Dict]) -> Dict:
                 "args": _args(ev),
             })
         elif kind in ("shard.prefetch", "shard.worker.resources",
-                      "shard.summary"):
+                      "shard.summary", "shard.worker_restart"):
             out.append({
                 "ph": "i", "pid": _PID,
                 "tid": shard_tid_of.get(ev.get("shard"), _CENTER_TID),

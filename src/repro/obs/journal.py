@@ -94,6 +94,7 @@ EVENT_TYPES = (
     "shard.worker.resources",  # a worker's per-batch CPU/RSS/GC sample
     "shard.fanin",       # one window's k-way shard merge at the center
     "shard.summary",     # per-shard resource totals (emitted at close())
+    "shard.worker_restart",  # a dead shard worker broke the pool; dropped
 )
 
 

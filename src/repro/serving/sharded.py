@@ -36,13 +36,18 @@ included.  Three mechanisms, none of which touches the fault RNG:
 If a prefetched message is missing or carries a stale function version
 (e.g. an adaptive subclass rebuilt mid-run), phase 2 falls back to the
 inline serial build for that job — correctness never depends on the
-prefetch; ``prefetch_misses`` counts the fallbacks.
+prefetch; ``prefetch_misses`` counts the fallbacks.  A shard worker
+that dies (killed, out of memory) breaks the whole process pool: the
+prefetch drops the pool, counts a ``worker_restarts``, and leaves the
+batches it did not get back to that same inline fallback; the next
+prefetch forks a fresh pool.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
@@ -388,6 +393,9 @@ class ShardedMonitoringSystem(MonitoringSystem):
         self._pool: Optional[ProcessPoolExecutor] = None
         #: (monitor name, window index) -> prefetched message.
         self._prefetched: Dict[Tuple[str, int], HistogramMessage] = {}
+        #: Whether this run's prefetch pass ran; once it has, every job
+        #: it did not deliver (a dead worker's batch) is a counted miss.
+        self._prefetch_ran = False
         #: Segmentation computed by the prefetch pass, handed to the
         #: base loop so the (deterministic) split/segment work runs
         #: once per run.  Keyed by the run parameters as a guard.
@@ -397,6 +405,8 @@ class ShardedMonitoringSystem(MonitoringSystem):
         self._truth_sizes: Dict[int, int] = {}
         self.prefetch_hits = 0
         self.prefetch_misses = 0
+        #: Pools dropped because a shard worker died mid-prefetch.
+        self.worker_restarts = 0
         self.worker_telemetry = worker_telemetry
         #: Monotonic snapshot sequence: one per prefetch pass, shared
         #: by every shard in that pass (the merge orders by
@@ -422,6 +432,28 @@ class ShardedMonitoringSystem(MonitoringSystem):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.shards)
         return self._pool
+
+    def _drop_broken_pool(self, error: BaseException) -> None:
+        """A worker of the pool died, which breaks the executor for
+        good: shut it down (reaping the survivors), count the restart
+        and journal it.  :meth:`_ensure_pool` forks the replacement on
+        the next prefetch."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        self.worker_restarts += 1
+        labels = {"tenant": self.tenant} if self.tenant else {}
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("serving.shard.worker_restarts", **labels).inc()
+        journal = get_journal()
+        if journal.enabled:
+            journal.emit(
+                "shard.worker_restart",
+                tenant=self.tenant or "",
+                error=f"{type(error).__name__}: {error}",
+                restarts=self.worker_restarts,
+            )
 
     def close(self) -> None:
         """Shut the shard worker pool down (idempotent).  The system
@@ -540,6 +572,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
         n_windows = max((len(s) for s in segmented), default=0)
         if n_windows == 0:
             return
+        self._prefetch_ran = True
         self._prefetch_truth(segmented, n_windows)
         total = sum(len(win) for segs in segmented for win in segs)
         has_values = any(
@@ -599,18 +632,27 @@ class ShardedMonitoringSystem(MonitoringSystem):
                 if jobs
             ]
             shard_bytes = [0] * self.shards
+            received = set()
             snapshots = []
             pool = self._ensure_pool()
-            for shard, results, snapshot in pool.map(_shard_worker, tasks):
-                if snapshot is not None:
-                    snapshots.append(snapshot)
-                for packed in results:
-                    name, messages = _unpack_messages(
-                        packed, cc.function_version
-                    )
-                    for msg in messages:
-                        self._prefetched[(name, msg.window_index)] = msg
-                        shard_bytes[shard] += len(msg.payload)
+            try:
+                for shard, results, snapshot in pool.map(
+                    _shard_worker, tasks
+                ):
+                    received.add(shard)
+                    if snapshot is not None:
+                        snapshots.append(snapshot)
+                    for packed in results:
+                        name, messages = _unpack_messages(
+                            packed, cc.function_version
+                        )
+                        for msg in messages:
+                            self._prefetched[(name, msg.window_index)] = msg
+                            shard_bytes[shard] += len(msg.payload)
+            except BrokenProcessPool as error:
+                # The shards not received yet are rebuilt inline, one
+                # prefetch miss per (monitor, window) job.
+                self._drop_broken_pool(error)
         finally:
             del uid_buf, val_buf
             shm.close()
@@ -621,7 +663,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
         self._record_imbalance(shard_jobs)
         labels = {"tenant": self.tenant} if self.tenant else {}
         for shard, jobs in enumerate(shard_jobs):
-            if not jobs:
+            if shard not in received:  # no jobs, or its worker died
                 continue
             windows = sum(len(wins) for _name, wins in jobs)
             tuples = sum(n for _name, wins in jobs for (_w, _o, n, _hv) in wins)
@@ -687,9 +729,9 @@ class ShardedMonitoringSystem(MonitoringSystem):
 
     # -- base-loop hooks ----------------------------------------------------
     def _partition_jobs(self, pool, jobs):
-        prefetched = self._prefetched
-        if not prefetched:
+        if not self._prefetch_ran:
             return super()._partition_jobs(pool, jobs)
+        prefetched = self._prefetched
         messages = []
         hits = misses = 0
         for monitor, window, _plan in jobs:
@@ -778,6 +820,7 @@ class ShardedMonitoringSystem(MonitoringSystem):
         faults: object = _UNSET,
     ) -> "SystemReport":
         self._prefetched = {}
+        self._prefetch_ran = False
         self._truth = {}
         self._truth_sizes = {}
         self._segmented_cache = None

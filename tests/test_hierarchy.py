@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GroupTable, PrunedHierarchy, UIDDomain
 
-from helpers import random_cut, random_instance
+from helpers import random_cut, random_instance, reference_hierarchy
 
 
 class TestStructure:
@@ -128,3 +128,116 @@ def test_hierarchy_size_linear_in_nonzero(seed):
         assert len(h.nodes) <= 2 * nonzero * (height + 1)
     for p in h.nodes:
         assert p.is_leaf or (p.left is not None and p.right is not None)
+
+
+# ---------------------------------------------------------------------------
+# The array construction against the node-by-node reference builder
+# ---------------------------------------------------------------------------
+def _assert_matches_reference(table, counts):
+    """Field for field: postorder node ids, kinds, children, group
+    counts, group columns, and tuple totals bit for bit."""
+    want = reference_hierarchy(table, counts)
+    h = PrunedHierarchy(table, counts)
+    got = h.nodes
+    assert len(h) == len(got) == len(want)
+    for w, g in zip(want, got):
+        assert (g.index, g.node, g.kind) == (w.index, w.node, w.kind)
+        assert (g.n_groups, g.n_nonzero) == (w.n_groups, w.n_nonzero)
+        assert g.group_index == w.group_index
+        assert np.float64(g.tuples).tobytes() == np.float64(w.tuples).tobytes()
+        for gc, wc in ((g.left, w.left), (g.right, w.right),
+                       (g.parent, w.parent)):
+            assert (gc is None) == (wc is None)
+            if wc is not None:
+                assert gc.index == wc.index
+    # The arrays say the same as the nodes they were expanded into.
+    a = h.arrays
+    assert a.node_id.tolist() == [w.node for w in want]
+    assert a.n_groups.tolist() == [w.n_groups for w in want]
+    assert h.tuples.tobytes() == np.array([w.tuples for w in want]).tobytes()
+    for w in want:
+        lo, hi = table.domain.uid_range(w.node)
+        first = int(np.searchsorted(table.starts, lo))
+        assert a.first_group[w.index] == first
+        assert a.size[w.index] == sum(1 for _ in _subtree(w))
+    return h
+
+
+def _subtree(p):
+    yield p
+    for c in p.children():
+        yield from _subtree(c)
+
+
+@st.composite
+def _tables(draw, max_height=12):
+    """A random group table (possibly leaving parts of the domain
+    uncovered) with random, partly zero, fractional counts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    height = draw(st.integers(0, max_height))
+    dom = UIDDomain(height)
+    nodes = random_cut(rng, height, stop=draw(st.floats(0.05, 0.9)))
+    if draw(st.booleans()):  # drop groups: the table no longer covers
+        keep = rng.random(len(nodes)) < draw(st.floats(0.1, 1.0))
+        nodes = [v for v, k in zip(nodes, keep) if k] or nodes[:1]
+    table = GroupTable(dom, nodes)
+    counts = rng.random(len(table)) * draw(st.sampled_from([1.0, 30.0, 1e9]))
+    counts[rng.random(len(table)) < draw(st.floats(0.0, 1.0))] = 0.0
+    return table, counts
+
+
+class TestReferenceBuilder:
+    @settings(max_examples=150, deadline=None)
+    @given(_tables())
+    def test_random_tables(self, case):
+        _assert_matches_reference(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_tables(), st.sampled_from(["none", "one", "all"]))
+    def test_extreme_supports(self, case, support):
+        table, counts = case
+        counts = counts.copy()
+        if support == "none":
+            counts[:] = 0.0
+        elif support == "one":
+            keep = int(np.argmax(counts)) if counts.any() else 0
+            counts[np.arange(counts.size) != keep] = 0.0
+            counts[keep] = max(counts[keep], 1.5)
+        else:
+            counts = counts + 0.25
+        h = _assert_matches_reference(table, counts)
+        assert h.num_nonzero_groups == int(np.count_nonzero(counts))
+        assert h.num_groups == len(table)
+
+    @pytest.mark.parametrize("height", [32, 60])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_deep_domains(self, height, seed, n):
+        """Sparse groups deep in a 2^32 (IPv4-sized) or 2^60 identifier
+        space: node ids far beyond 2^32 and long compressed paths; past
+        height 56 the postorder sort takes its two-key path."""
+        rng = np.random.default_rng(seed)
+        dom = UIDDomain(height)
+        depths = rng.integers(height - 8, height + 1, n)
+        nodes = {
+            int(dom.node(int(d), int(rng.integers(0, 1 << int(d)))))
+            for d in depths
+        }
+        # Keep a nonoverlapping subset (drop any node under another).
+        chosen = []
+        for v in sorted(nodes, key=UIDDomain.depth):
+            if not any(UIDDomain.is_ancestor(u, v) for u in chosen):
+                chosen.append(v)
+        table = GroupTable(dom, chosen)
+        counts = rng.integers(0, 4, len(table)).astype(float) * 1.1
+        counts[0] = 2.2
+        h = _assert_matches_reference(table, counts)
+        assert int(h.arrays.node_id.max()) >= 1 << (height - 8)
+
+    def test_single_group_covering_the_domain(self):
+        dom = UIDDomain(5)
+        table = GroupTable(dom, [1])
+        for counts in (np.zeros(1), np.array([3.0])):
+            h = _assert_matches_reference(table, counts)
+            assert len(h) == 1

@@ -1,8 +1,8 @@
 """Incremental (subtree-memoized) rebuilds must be bit-identical to
 from-scratch builds.
 
-The memo splices previous-build DP arrays for subtrees whose content
-fingerprint is unchanged; because those arrays are exactly what an
+The memo reuses previous-build DP arrays for subtrees whose group
+counts are unchanged; because those arrays are exactly what an
 identical solve on identical content produces, the curve bytes and the
 reconstructed bucket lists must match a full rebuild with zero
 tolerance — for both semantics, all three kernel modes, and arbitrary
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import UIDDomain, get_metric
+from repro import GroupTable, UIDDomain, get_metric
 from repro.algorithms import incremental as incmod
 from repro.algorithms.construct import build
 from repro.algorithms.kernels import use_kernel_mode
@@ -177,20 +177,95 @@ class TestMemoKeying:
             build_nonoverlapping(h, METRIC, 8, low_memory=True,
                                  memo=session)
 
-    def test_fingerprints_track_content_not_position(self):
+    def test_reuse_tracks_content_not_position(self):
+        # Zeroing one group reshapes the pruned tree around it and
+        # shifts every postorder index after it.  Exactly the internal
+        # nodes whose group range holds that group are re-solved; every
+        # other subtree keeps its content and is reused wherever it
+        # landed.
         counts = _base_counts()
-        h1 = PrunedHierarchy(TABLE, counts)
-        h2 = PrunedHierarchy(TABLE, counts.copy())
-        fp1 = incmod.subtree_fingerprints(h1)
-        fp2 = incmod.subtree_fingerprints(h2)
-        assert fp1 == fp2
-        drifted = counts.copy()
-        g = np.nonzero(drifted)[0][0]
-        drifted[g] += 1.0
-        fp3 = incmod.subtree_fingerprints(PrunedHierarchy(TABLE, drifted))
-        assert fp3[-1] != fp1[-1]  # root fingerprint moved
-        changed = sum(1 for a, b in zip(fp1, fp3) if a != b)
-        assert 0 < changed < len(fp1)  # but only the dirty spine
+        memo, _ = _check_pair("nonoverlapping", counts, None)
+        old_len = len(PrunedHierarchy(TABLE, counts))
+        for g in np.flatnonzero(counts).tolist():
+            drifted = counts.copy()
+            drifted[g] = 0.0
+            a = PrunedHierarchy(TABLE, drifted).arrays
+            if a.node_id.size != old_len:  # the postorder did move
+                break
+        else:
+            raise AssertionError("no single group reshapes the tree")
+        _, stats = _check_pair("nonoverlapping", drifted, memo)
+        internal = a.left >= 0
+        holds_g = (a.first_group <= g) & (g < a.first_group + a.n_groups)
+        assert stats["dirty_subtrees"] == np.count_nonzero(internal & holds_g)
+        assert stats["reused_subtrees"] == np.count_nonzero(
+            internal & ~holds_g
+        )
+        assert stats["reused_subtrees"] > 0
+
+    def test_memo_from_another_table_is_ignored(self):
+        # Same group count, different groups: a count diff against this
+        # memo would say nothing about the subtrees, so it is dropped.
+        dom = UIDDomain(10)
+        other = GroupTable(dom, [dom.leaf(u) for u in range(len(TABLE))])
+        counts = _base_counts()
+        memo, _ = _check_pair("nonoverlapping", counts, None)
+        h = PrunedHierarchy(other, counts)
+        session = incmod.new_session(
+            "nonoverlapping", h, METRIC, BUDGETS["nonoverlapping"], memo
+        )
+        build_nonoverlapping(
+            h, METRIC, BUDGETS["nonoverlapping"], memo=session
+        )
+        assert session.stats()["reused_subtrees"] == 0
+
+
+def _support_chain():
+    """Five count vectors whose nonzero support shrinks, grows, holds,
+    and shifts in two places at once."""
+    counts = _base_counts()
+    nz = np.flatnonzero(counts)
+    chain = [counts]
+    c = counts.copy()
+    c[nz[:6]] = 0.0
+    chain.append(c)
+    c = c.copy()
+    c[nz[:3]] = 7.0
+    c[nz[-4:]] *= 3.0
+    chain.append(c)
+    c = c.copy()
+    c[nz[40:60]] += 1.0
+    chain.append(c)
+    c = c.copy()
+    c[np.flatnonzero(c == 0)[::2]] = 5.0
+    c[nz[100:110]] = 0.0
+    chain.append(c)
+    return chain
+
+
+#: (dirty_subtrees, reused_subtrees) per build of :func:`_support_chain`:
+#: reference values recorded with subtree-fingerprint matching, pinned
+#: so that ``incremental.reused_fraction`` keeps its meaning.
+CHAIN_STATS = {
+    "nonoverlapping": [(128, 0), (9, 117), (16, 111), (28, 99), (32, 89)],
+    "overlapping": [(124, 0), (121, 0), (121, 0), (26, 95), (118, 0)],
+}
+
+
+class TestSupportChangeStats:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("algorithm", sorted(CHAIN_STATS))
+    def test_chain_matches_full_and_pinned_stats(self, mode, algorithm):
+        with use_kernel_mode(mode):
+            memo = None
+            got = []
+            for counts in _support_chain():
+                memo, stats = _check_pair(algorithm, counts, memo)
+                got.append(
+                    (int(stats["dirty_subtrees"]),
+                     int(stats["reused_subtrees"]))
+                )
+        assert got == CHAIN_STATS[algorithm]
 
 
 class TestControlCenterIncremental:

@@ -123,3 +123,31 @@ def test_low_memory_mode_equivalent(seed, mname):
     )
     assert err_lean == pytest.approx(err_fast, abs=1e-9)
     assert err_lean == pytest.approx(lean.error_at(budget), abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["naive", "fast"])
+@pytest.mark.parametrize("seed", range(4))
+def test_builds_without_node_objects(mode, seed):
+    """Full, low-memory and incremental builds read the hierarchy's
+    arrays only: no PNode is ever created."""
+    from repro.algorithms import incremental
+    from repro.algorithms.kernels import use_kernel_mode
+
+    _dom, table, counts = random_instance(seed + 300)
+    metric = get_metric("rms")
+    with use_kernel_mode(mode):
+        memo = None
+        for c in (counts, counts * 2.0):
+            for low_memory in (False, True):
+                h = PrunedHierarchy(table, c)
+                build_nonoverlapping(
+                    h, metric, 6, low_memory=low_memory
+                ).function_at(6)
+                assert h._nodes is None
+            h = PrunedHierarchy(table, c)
+            session = incremental.new_session(
+                "nonoverlapping", h, metric, 6, memo
+            )
+            build_nonoverlapping(h, metric, 6, memo=session).function_at(6)
+            memo = session.finish()
+            assert h._nodes is None

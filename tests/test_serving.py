@@ -14,7 +14,10 @@ is tested around that invariant.
 import dataclasses
 import io
 import json
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +169,47 @@ class TestReportIdentity:
             actual = sharded.run(live, window_width=4.0)
         assert actual == expected
         assert sharded.prefetch_misses == 7
+
+    def test_killed_worker_is_replaced(self, workload):
+        """A SIGKILLed shard worker breaks the process pool.  The next
+        run must not raise: it drops the pool, rebuilds the lost
+        batches inline, counts and journals the restart, and reports
+        exactly what the serial system reports; the run after that
+        prefetches everything again from a fresh pool."""
+        table, history, live = workload
+        serial, sharded = _systems(table, history, 2)
+        # Run 2 is observed (quality signals are computed only then),
+        # on both sides.
+        expected = [serial.run(live, window_width=4.0)]
+        with use_registry(MetricsRegistry()):
+            expected.append(serial.run(live, window_width=4.0))
+        expected.append(serial.run(live, window_width=4.0))
+        registry = MetricsRegistry()
+        sink = io.StringIO()
+        with sharded:
+            got = [sharded.run(live, window_width=4.0)]
+            pool = sharded._pool
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            with use_registry(registry), use_journal(EventJournal(sink)):
+                got.append(sharded.run(live, window_width=4.0))
+            assert sharded.worker_restarts == 1
+            assert sharded._pool is None
+            misses = sharded.prefetch_misses
+            assert misses > 0
+            got.append(sharded.run(live, window_width=4.0))
+            assert sharded._pool is not None and sharded._pool is not pool
+            assert sharded.prefetch_misses == misses
+        assert got == expected
+        assert registry.counter("serving.shard.worker_restarts").value == 1
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        restarts = [e for e in events if e["event"] == "shard.worker_restart"]
+        assert len(restarts) == 1
+        assert restarts[0]["error"].startswith("BrokenProcessPool")
 
     def test_constructor_validation(self, workload):
         table, _history, _live = workload
